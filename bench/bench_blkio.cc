@@ -191,7 +191,7 @@ MetaResult MetaStorm(MetaMode mode, int files) {
   card.CmdSendRelativeAddr(&rca);
   card.CmdSelectCard(rca);
   SdBlockDevice disk(card, 0, card.capacity_blocks(), /*use_dma=*/false);
-  std::vector<std::uint8_t> img = Xv6Fs::Mkfs(1024, 128, nlog);
+  ByteStore img = Xv6Fs::Mkfs(1024, 128, nlog);
   disk.Write(0, img.size() / kBlockSize, img.data());
   Bcache bc(cfg);
   int dev = bc.AddDevice(&disk, "meta");

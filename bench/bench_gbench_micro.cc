@@ -98,7 +98,8 @@ void BM_Xv6fsWriteRead(benchmark::State& state) {
 BENCHMARK(BM_Xv6fsWriteRead);
 
 void BM_Fat32WriteRead(benchmark::State& state) {
-  auto image = FatVolume::Mkfs(MiB(4));
+  ByteStore image(MiB(4));
+  FatVolume::Mkfs(image);
   KernelConfig cfg;
   for (auto _ : state) {
     RamDisk disk(image);

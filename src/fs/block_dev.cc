@@ -21,17 +21,41 @@ const char* BlockStatusName(BlockStatus s) {
   return "?";
 }
 
-BlockResult RamDisk::Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) {
-  VOS_CHECK_MSG((lba + count) * kBlockSize <= data_.size(), "ramdisk read out of range");
-  std::memcpy(out, data_.data() + lba * kBlockSize, std::size_t(count) * kBlockSize);
+namespace {
+
+// Memory-backed transfers, shared by the ramdisk and the span device.
+BlockResult MemRead(std::span<const std::uint8_t> bytes, std::uint64_t lba, std::uint32_t count,
+                    std::uint8_t* out) {
+  VOS_CHECK_MSG((lba + count) * kBlockSize <= bytes.size(), "ramdisk read out of range");
+  std::memcpy(out, bytes.data() + lba * kBlockSize, std::size_t(count) * kBlockSize);
   // DRAM-speed "disk": dominated by the memcpy.
   return {BlockStatus::kOk, Us(2) + Cycles(count) * Us(1)};
 }
 
-BlockResult RamDisk::Write(std::uint64_t lba, std::uint32_t count, const std::uint8_t* in) {
-  VOS_CHECK_MSG((lba + count) * kBlockSize <= data_.size(), "ramdisk write out of range");
-  std::memcpy(data_.data() + lba * kBlockSize, in, std::size_t(count) * kBlockSize);
+BlockResult MemWrite(std::span<std::uint8_t> bytes, std::uint64_t lba, std::uint32_t count,
+                     const std::uint8_t* in) {
+  VOS_CHECK_MSG((lba + count) * kBlockSize <= bytes.size(), "ramdisk write out of range");
+  std::memcpy(bytes.data() + lba * kBlockSize, in, std::size_t(count) * kBlockSize);
   return {BlockStatus::kOk, Us(2) + Cycles(count) * Us(1)};
+}
+
+}  // namespace
+
+BlockResult RamDisk::Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) {
+  return MemRead(data_, lba, count, out);
+}
+
+BlockResult RamDisk::Write(std::uint64_t lba, std::uint32_t count, const std::uint8_t* in) {
+  return MemWrite(data_, lba, count, in);
+}
+
+BlockResult SpanBlockDevice::Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) {
+  return MemRead(bytes_, lba, count, out);
+}
+
+BlockResult SpanBlockDevice::Write(std::uint64_t lba, std::uint32_t count,
+                                   const std::uint8_t* in) {
+  return MemWrite(bytes_, lba, count, in);
 }
 
 BlockResult SdBlockDevice::Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) {

@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "src/base/byte_store.h"
 #include "src/base/units.h"
 #include "src/hw/sd_card.h"
 
@@ -60,18 +62,36 @@ class BlockDevice {
 // DRAM-backed disk holding the root filesystem image.
 class RamDisk : public BlockDevice {
  public:
-  explicit RamDisk(std::uint64_t bytes) : data_(bytes, 0) {}
-  explicit RamDisk(std::vector<std::uint8_t> image) : data_(std::move(image)) {}
+  explicit RamDisk(std::uint64_t bytes) : data_(bytes) {}
+  // Takes over a formatted image without copying it.
+  explicit RamDisk(ByteStore&& image) : data_(std::move(image)) {}
+  // Copies an image, e.g. a snapshot of another device's contents.
+  explicit RamDisk(std::span<const std::uint8_t> image) : data_(image) {}
 
   std::uint64_t block_count() const override { return data_.size() / kBlockSize; }
   BlockResult Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) override;
   BlockResult Write(std::uint64_t lba, std::uint32_t count, const std::uint8_t* in) override;
 
-  std::vector<std::uint8_t>& data() { return data_; }
-  const std::vector<std::uint8_t>& data() const { return data_; }
+  ByteStore& data() { return data_; }
+  const ByteStore& data() const { return data_; }
 
  private:
-  std::vector<std::uint8_t> data_;
+  ByteStore data_;
+};
+
+// A block device over bytes someone else owns, with the ramdisk's cost model
+// and no side effects: the image builders format and populate a volume in
+// place through it, inside the store of the device that will hold it.
+class SpanBlockDevice : public BlockDevice {
+ public:
+  explicit SpanBlockDevice(std::span<std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::uint64_t block_count() const override { return bytes_.size() / kBlockSize; }
+  BlockResult Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) override;
+  BlockResult Write(std::uint64_t lba, std::uint32_t count, const std::uint8_t* in) override;
+
+ private:
+  std::span<std::uint8_t> bytes_;
 };
 
 // Adapter exposing the SD card (partition-relative) as a BlockDevice.

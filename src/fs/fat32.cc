@@ -144,7 +144,15 @@ std::int64_t FatVolume::Mount(Cycles* burn) {
     return kErrIo;
   }
   data_start_ = reserved_ + std::uint64_t(nfats_) * fat_sectors_;
+  // A hostile or torn BPB must not describe a volume with no data area, one
+  // larger than the device, or a root directory outside the clusters.
+  if (total_sectors_ <= data_start_ || total_sectors_ > bc_.Device(dev_)->block_count()) {
+    return kErrIo;
+  }
   cluster_count_ = static_cast<std::uint32_t>((total_sectors_ - data_start_) / spc_);
+  if (root_cluster_ - 2 >= cluster_count_) {
+    return kErrIo;
+  }
   mounted_ = true;
   return 0;
 }
@@ -846,9 +854,8 @@ std::uint32_t FatVolume::FreeClusters(Cycles* burn) {
   return n;
 }
 
-std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
-                                          std::uint32_t sectors_per_cluster) {
-  std::uint64_t total_sectors = total_bytes / kBlockSize;
+void FatVolume::Mkfs(std::span<std::uint8_t> volume, std::uint32_t sectors_per_cluster) {
+  std::uint64_t total_sectors = volume.size() / kBlockSize;
   std::uint32_t reserved = 32;
   std::uint32_t nfats = 2;
   // Iterate to a consistent FAT size: each FAT sector covers 128 clusters.
@@ -862,8 +869,14 @@ std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
     }
     fat_sectors = need;
   }
-  std::vector<std::uint8_t> img(total_sectors * kBlockSize, 0);
-  std::uint8_t* bpb = img.data();
+  // Reserved sectors, both FATs and the root cluster (cluster 2, the first
+  // of the data area) start out zeroed; every other byte is left alone.
+  std::uint64_t defined_sectors =
+      reserved + std::uint64_t(nfats) * fat_sectors + sectors_per_cluster;
+  VOS_CHECK_MSG(defined_sectors < total_sectors, "FAT volume too small to format");
+  std::uint8_t* img = volume.data();
+  std::memset(img, 0, defined_sectors * kBlockSize);
+  std::uint8_t* bpb = img;
   bpb[0] = 0xeb;
   bpb[1] = 0x58;
   bpb[2] = 0x90;
@@ -881,7 +894,7 @@ std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
   bpb[510] = 0x55;
   bpb[511] = 0xaa;
   // FSInfo.
-  std::uint8_t* fsi = img.data() + kBlockSize;
+  std::uint8_t* fsi = img + kBlockSize;
   Wr32(fsi, 0x41615252);
   Wr32(fsi + 484, 0x61417272);
   Wr32(fsi + 488, 0xffffffff);  // free count unknown
@@ -890,13 +903,11 @@ std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
   fsi[511] = 0xaa;
   // FATs: entries 0,1 reserved; root cluster 2 = EOC.
   for (std::uint32_t fat = 0; fat < nfats; ++fat) {
-    std::uint8_t* f = img.data() + (std::size_t(reserved) + std::size_t(fat) * fat_sectors) *
-                      kBlockSize;
+    std::uint8_t* f = img + (std::size_t(reserved) + std::size_t(fat) * fat_sectors) * kBlockSize;
     Wr32(f, 0x0ffffff8);
     Wr32(f + 4, 0x0fffffff);
     Wr32(f + 8, 0x0fffffff);  // root dir chain: single cluster
   }
-  return img;
 }
 
 }  // namespace vos

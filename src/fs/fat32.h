@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,10 +80,11 @@ class FatVolume {
   Bcache& bcache() { return bc_; }
   int dev() const { return dev_; }
 
-  // Formats a FAT32 volume image of `total_bytes` (must fit >= 65525 clusters
-  // per spec; we relax this for small test volumes but keep the layout).
-  static std::vector<std::uint8_t> Mkfs(std::uint64_t total_bytes,
-                                        std::uint32_t sectors_per_cluster = 8);
+  // Formats `volume` as FAT32 in place (the spec wants >= 65525 clusters; we
+  // relax this for small test volumes but keep the layout). Writes only the
+  // regions the format defines — reserved sectors, both FATs and the root
+  // directory cluster — and leaves the rest of the data area untouched.
+  static void Mkfs(std::span<std::uint8_t> volume, std::uint32_t sectors_per_cluster = 8);
 
  private:
   std::uint64_t ClusterFirstSector(std::uint32_t cluster) const;

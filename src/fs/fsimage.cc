@@ -41,10 +41,9 @@ void FatMkdirParents(FatVolume& fat, const std::string& path, Cycles* burn) {
 
 }  // namespace
 
-std::vector<std::uint8_t> BuildRootImage(const FsSpec& extra, std::uint32_t fsblocks,
-                                         std::uint32_t ninodes) {
-  std::vector<std::uint8_t> image = Xv6Fs::Mkfs(fsblocks, ninodes);
-  RamDisk disk(image);
+ByteStore BuildRootImage(const FsSpec& extra, std::uint32_t fsblocks, std::uint32_t ninodes) {
+  ByteStore image = Xv6Fs::Mkfs(fsblocks, ninodes);
+  SpanBlockDevice disk(image);
   KernelConfig cfg;  // cost model irrelevant at build time
   Bcache bc(cfg);
   int dev = bc.AddDevice(&disk);
@@ -83,12 +82,12 @@ std::vector<std::uint8_t> BuildRootImage(const FsSpec& extra, std::uint32_t fsbl
     VOS_CHECK_MSG(w == static_cast<std::int64_t>(e.data.size()), "mkfs: file write failed");
   }
   bc.FlushAll();  // write-back cache: push dirty blocks into the image
-  return disk.data();
+  return image;
 }
 
-std::vector<std::uint8_t> BuildFatImage(std::uint64_t bytes, const FsSpec& spec) {
-  std::vector<std::uint8_t> image = FatVolume::Mkfs(bytes);
-  RamDisk disk(image);
+void ProvisionFatVolume(std::span<std::uint8_t> volume, const FsSpec& spec) {
+  FatVolume::Mkfs(volume);
+  SpanBlockDevice disk(volume);
   KernelConfig cfg;
   Bcache bc(cfg);
   int dev = bc.AddDevice(&disk);
@@ -110,12 +109,11 @@ std::vector<std::uint8_t> BuildFatImage(std::uint64_t bytes, const FsSpec& spec)
         fat.Write(node, e.data.data(), 0, static_cast<std::uint32_t>(e.data.size()), &burn);
     VOS_CHECK_MSG(w == static_cast<std::int64_t>(e.data.size()), "mkfs: FAT write failed");
   }
-  bc.FlushAll();  // write-back cache: push dirty blocks into the image
-  return disk.data();
+  bc.FlushAll();  // write-back cache: push dirty blocks into the volume
 }
 
 void ProvisionSdCard(SdCard& sd, const FsSpec& fat_files) {
-  std::vector<std::uint8_t>& disk = sd.disk();
+  ByteStore& disk = sd.disk();
   VOS_CHECK_MSG(disk.size() >= MiB(8), "SD card too small to partition");
 
   constexpr std::uint64_t kPart1First = 64;      // kernel image region
@@ -139,8 +137,8 @@ void ProvisionSdCard(SdCard& sd, const FsSpec& fat_files) {
   mbr[510] = 0x55;
   mbr[511] = 0xaa;
 
-  std::vector<std::uint8_t> fat = BuildFatImage(part2_count * kSdBlockSize, fat_files);
-  std::memcpy(disk.data() + part2_first * kSdBlockSize, fat.data(), fat.size());
+  ProvisionFatVolume(std::span<std::uint8_t>(disk).subspan(part2_first * kSdBlockSize),
+                     fat_files);
 }
 
 }  // namespace vos

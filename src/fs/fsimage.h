@@ -7,9 +7,11 @@
 #define VOS_SRC_FS_FSIMAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/base/byte_store.h"
 #include "src/hw/sd_card.h"
 
 namespace vos {
@@ -26,15 +28,17 @@ struct FsSpec {
 
 // Builds the root ramdisk image: an xv6fs of `fsblocks` 1 KB blocks with
 // /bin/<app> VELF executables for every registered app, plus `extra` content.
-std::vector<std::uint8_t> BuildRootImage(const FsSpec& extra, std::uint32_t fsblocks = 6144,
-                                         std::uint32_t ninodes = 256);
+ByteStore BuildRootImage(const FsSpec& extra, std::uint32_t fsblocks = 6144,
+                         std::uint32_t ninodes = 256);
 
 // Formats the SD card: MBR with a small partition 1 (kernel image region) and
-// a FAT32 partition 2 spanning the rest, populated with `fat_files`.
+// a FAT32 partition 2 spanning the rest, populated with `fat_files`. Works in
+// the card's own store; blocks the filesystem never touches stay unwritten.
 void ProvisionSdCard(SdCard& sd, const FsSpec& fat_files);
 
-// Builds a standalone FAT32 volume image (exposed for tests).
-std::vector<std::uint8_t> BuildFatImage(std::uint64_t bytes, const FsSpec& spec);
+// Formats `volume` as FAT32 in place and populates it with `spec` (the SD
+// card's partition 2, a superfloppy USB stick).
+void ProvisionFatVolume(std::span<std::uint8_t> volume, const FsSpec& spec);
 
 }  // namespace vos
 

@@ -762,8 +762,7 @@ std::uint32_t Xv6Fs::FreeDataBlocks(Cycles* burn) {
   return free;
 }
 
-std::vector<std::uint8_t> Xv6Fs::Mkfs(std::uint32_t fsblocks, std::uint32_t ninodes,
-                                      std::uint32_t nlog) {
+ByteStore Xv6Fs::Mkfs(std::uint32_t fsblocks, std::uint32_t ninodes, std::uint32_t nlog) {
   VOS_CHECK_MSG(nlog == 0 || nlog >= kJrnlMinLogBlocks,
                 "journal needs jsb + descriptor + data (or 0 for none)");
   std::uint32_t ninodeblocks = ninodes / kInodesPerBlock + 1;
@@ -771,7 +770,7 @@ std::vector<std::uint8_t> Xv6Fs::Mkfs(std::uint32_t fsblocks, std::uint32_t nino
   std::uint32_t nmeta = 2 + ninodeblocks + nbitmap + nlog;
   VOS_CHECK_MSG(nmeta < fsblocks, "filesystem too small for metadata");
 
-  std::vector<std::uint8_t> img(std::size_t(fsblocks) * kFsBlockSize, 0);
+  ByteStore img(std::size_t(fsblocks) * kFsBlockSize);
   Xv6Superblock sb{};
   sb.magic = kXv6Magic;
   sb.size = fsblocks;

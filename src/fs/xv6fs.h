@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/byte_store.h"
 #include "src/base/units.h"
 #include "src/fs/bcache.h"
 
@@ -171,8 +172,8 @@ class Xv6Fs {
   // Formats an image: fs of `fsblocks` 1 KB blocks with `ninodes` inodes and
   // an `nlog`-block journal region (0 = unjournaled), containing only the
   // root directory. Image size = fsblocks KB.
-  static std::vector<std::uint8_t> Mkfs(std::uint32_t fsblocks, std::uint32_t ninodes,
-                                        std::uint32_t nlog = kJrnlDefaultLogBlocks);
+  static ByteStore Mkfs(std::uint32_t fsblocks, std::uint32_t ninodes,
+                        std::uint32_t nlog = kJrnlDefaultLogBlocks);
 
  private:
   // 0 with *out = fresh zeroed block, kErrNoSpace on disk full, kErrIo.

@@ -6,8 +6,8 @@ namespace vos {
 
 void PhysMem::Scramble(std::uint64_t seed) {
   Rng rng(seed);
-  // Pattern in 64-bit strides for speed; the tail bytes keep whatever the
-  // last full word left there, which is fine for "arbitrary values".
+  // Pattern in 64-bit strides for speed; a size that is not a multiple of 8
+  // leaves its tail bytes zero, which is fine for "arbitrary values".
   std::uint64_t words = mem_.size() / 8;
   auto* p = reinterpret_cast<std::uint64_t*>(mem_.data());
   for (std::uint64_t i = 0; i < words; ++i) {

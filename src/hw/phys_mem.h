@@ -6,9 +6,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/byte_store.h"
 #include "src/base/units.h"
 
 namespace vos {
@@ -17,7 +17,8 @@ using PhysAddr = std::uint64_t;
 
 class PhysMem {
  public:
-  explicit PhysMem(std::uint64_t size) : mem_(size, 0) {}
+  // Zero-backed: pages nobody writes cost the host nothing.
+  explicit PhysMem(std::uint64_t size) : mem_(size) {}
 
   std::uint64_t size() const { return mem_.size(); }
 
@@ -60,7 +61,7 @@ class PhysMem {
   void Scramble(std::uint64_t seed);
 
  private:
-  std::vector<std::uint8_t> mem_;
+  ByteStore mem_;
 };
 
 }  // namespace vos

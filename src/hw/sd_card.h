@@ -13,8 +13,8 @@
 #define VOS_SRC_HW_SD_CARD_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "src/base/byte_store.h"
 #include "src/base/units.h"
 
 namespace vos {
@@ -55,9 +55,10 @@ class SdCard {
 
   std::uint64_t capacity_blocks() const { return disk_.size() / kSdBlockSize; }
 
-  // Host-side image access (formatting, asset provisioning).
-  std::vector<std::uint8_t>& disk() { return disk_; }
-  const std::vector<std::uint8_t>& disk() const { return disk_; }
+  // Host-side image access (formatting, asset provisioning). Zero-backed:
+  // blocks never written cost the host nothing.
+  ByteStore& disk() { return disk_; }
+  const ByteStore& disk() const { return disk_; }
 
   // Stats for benches and the power model.
   std::uint64_t blocks_read() const { return blocks_read_; }
@@ -72,7 +73,7 @@ class SdCard {
   State state_ = State::kIdle;
   int acmd41_polls_ = 0;
   std::uint16_t rca_ = 0;
-  std::vector<std::uint8_t> disk_;
+  ByteStore disk_;
   std::uint64_t blocks_read_ = 0;
   std::uint64_t blocks_written_ = 0;
   std::uint64_t commands_ = 0;

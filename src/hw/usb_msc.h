@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/byte_store.h"
 #include "src/base/units.h"
 
 namespace vos {
@@ -57,12 +58,12 @@ class UsbMassStorage {
   // the CSW; `duration` receives the bus+media time of the transaction.
   Csw Transaction(const Cbw& cbw, std::vector<std::uint8_t>& data, Cycles* duration);
 
-  std::vector<std::uint8_t>& disk() { return disk_; }
+  ByteStore& disk() { return disk_; }
   std::uint64_t capacity_blocks() const { return disk_.size() / 512; }
   std::uint64_t transactions() const { return transactions_; }
 
  private:
-  std::vector<std::uint8_t> disk_;
+  ByteStore disk_;
   std::uint64_t transactions_ = 0;
 };
 

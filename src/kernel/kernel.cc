@@ -167,8 +167,8 @@ Kernel::~Kernel() {
   tasks_.clear();
 }
 
-void Kernel::SetRamdiskImage(std::vector<std::uint8_t> image) {
-  ramdisk_image_ = std::move(image);
+void Kernel::SetRamdiskImage(ByteStore image) {
+  ramdisk_ = std::make_unique<RamDisk>(std::move(image));
 }
 
 void Kernel::AddBootBlob(const std::string& name, std::vector<std::uint8_t> velf) {
@@ -219,7 +219,7 @@ Kernel::BootReport Kernel::Boot() {
   // Firmware: the GPU firmware loads bootcode/start.elf and then our kernel
   // image (kernel + embedded ramdisk) from the SD card — the bulk of the
   // 6-second power-to-shell time (Fig 8).
-  std::uint64_t image_bytes = MiB(1) + ramdisk_image_.size();
+  std::uint64_t image_bytes = MiB(1) + (ramdisk_ ? ramdisk_->data().size() : 0);
   r.firmware = Ms(2600) + Cycles(image_bytes) * 250;  // ~4 MB/s SD load
 
   // Kernel core: vectors, PMM over [8 MB, dram_end), timers, UART.
@@ -304,8 +304,8 @@ Kernel::BootReport Kernel::Boot() {
     return fault_devs_.back().get();
   };
   if (cfg_.HasFiles()) {
-    VOS_CHECK_MSG(!ramdisk_image_.empty(), "proto4+ boot requires a ramdisk image");
-    ramdisk_ = std::make_unique<RamDisk>(ramdisk_image_);
+    VOS_CHECK_MSG(ramdisk_ != nullptr && !ramdisk_->data().empty(),
+                  "proto4+ boot requires a ramdisk image");
     bcache_ = std::make_unique<Bcache>(cfg_);
     bcache_->SetNowFn([this] { return Now(); });
     bcache_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {

@@ -109,7 +109,8 @@ class Kernel final : public MachineClient {
   Kernel& operator=(const Kernel&) = delete;
 
   // --- Images provisioned before Boot() ---
-  void SetRamdiskImage(std::vector<std::uint8_t> image);
+  // The root xv6fs image; the ramdisk takes it over without a copy.
+  void SetRamdiskImage(ByteStore image);
   // Prototype 3 "file-less exec": VELF blobs bundled with the kernel image.
   void AddBootBlob(const std::string& name, std::vector<std::uint8_t> velf);
 
@@ -372,7 +373,6 @@ class Kernel final : public MachineClient {
   Pid wd_last_dispatched_[kMaxCores] = {};  // last task to run on each core
   bool wedged_core_[kMaxCores] = {};        // DebugWedgeCore state
 
-  std::vector<std::uint8_t> ramdisk_image_;
   std::map<std::string, std::vector<std::uint8_t>> boot_blobs_;
 
   // Seeded-race self-test state (DebugSharedInc).

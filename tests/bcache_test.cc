@@ -448,7 +448,7 @@ class BcacheFsTest : public ::testing::Test {
   }
 
   KernelConfig cfg_;
-  std::vector<std::uint8_t> image_;
+  ByteStore image_;
   RamDisk disk_;
   Bcache bc_;
   Xv6Fs fs_;

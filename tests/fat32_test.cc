@@ -12,7 +12,8 @@ namespace {
 class Fat32Test : public ::testing::Test {
  protected:
   Fat32Test()
-      : disk_(FatVolume::Mkfs(MiB(8))), bc_(cfg_), fat_(bc_, bc_.AddDevice(&disk_), cfg_) {
+      : disk_(MiB(8)), bc_(cfg_), fat_(bc_, bc_.AddDevice(&disk_), cfg_) {
+    FatVolume::Mkfs(disk_.data());
     Cycles burn = 0;
     EXPECT_EQ(fat_.Mount(&burn), 0);
   }
@@ -275,6 +276,66 @@ TEST_F(Fat32Test, RandomOpsMatchReferenceModel) {
       }
     }
   }
+}
+
+// Mount must reject a BPB that describes no data area, a volume larger than
+// its device, or a root directory outside the cluster range. A hostile or
+// torn image used to mount anyway, with the cluster count underflowed.
+class FatBadBpbTest : public ::testing::Test {
+ protected:
+  FatBadBpbTest() : disk_(MiB(8)) { FatVolume::Mkfs(disk_.data()); }
+
+  std::uint32_t Bpb32(std::size_t off) const {
+    const std::uint8_t* p = disk_.data().data() + off;
+    return std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) | (std::uint32_t(p[2]) << 16) |
+           (std::uint32_t(p[3]) << 24);
+  }
+  void SetBpb32(std::size_t off, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      disk_.data()[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  // Reserved sectors + both FATs.
+  std::uint32_t DataStart() const {
+    return (Bpb32(14) & 0xffff) + disk_.data()[16] * Bpb32(36);
+  }
+  std::uint32_t Clusters() const { return (Bpb32(32) - DataStart()) / disk_.data()[13]; }
+
+  std::int64_t Mount() {
+    KernelConfig cfg;
+    Bcache bc(cfg);
+    FatVolume fat(bc, bc.AddDevice(&disk_), cfg);
+    Cycles burn = 0;
+    return fat.Mount(&burn);
+  }
+
+  RamDisk disk_;
+};
+
+TEST_F(FatBadBpbTest, FormattedBpbMounts) {
+  EXPECT_EQ(Mount(), 0);
+  SetBpb32(44, Clusters() + 1);  // the last cluster is still a valid root
+  EXPECT_EQ(Mount(), 0);
+}
+
+TEST_F(FatBadBpbTest, RejectsTotalSectorsWithinMetadata) {
+  const std::uint32_t data_start = DataStart();
+  SetBpb32(32, data_start);  // no data area at all
+  EXPECT_EQ(Mount(), kErrIo);
+  SetBpb32(32, data_start - 1);  // the old cluster count underflowed here
+  EXPECT_EQ(Mount(), kErrIo);
+}
+
+TEST_F(FatBadBpbTest, RejectsVolumeLargerThanDevice) {
+  SetBpb32(32, static_cast<std::uint32_t>(disk_.block_count() + 1));
+  EXPECT_EQ(Mount(), kErrIo);
+}
+
+TEST_F(FatBadBpbTest, RejectsRootClusterOutsideVolume) {
+  SetBpb32(44, Clusters() + 2);  // one past the last cluster
+  EXPECT_EQ(Mount(), kErrIo);
+  SetBpb32(44, 0x0ffffff0);
+  EXPECT_EQ(Mount(), kErrIo);
 }
 
 }  // namespace

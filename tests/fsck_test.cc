@@ -60,7 +60,7 @@ class FsckTest : public ::testing::Test {
   }
 
   KernelConfig cfg_;
-  std::vector<std::uint8_t> image_;
+  ByteStore image_;
   RamDisk disk_;
   Bcache bc_;
   Xv6Fs fs_;

@@ -122,7 +122,7 @@ TEST_F(JournalTest, ReplayIsIdempotentAcrossRepeatedMounts) {
 
   // Two independent mounts of the same crashed image must replay the same
   // records and converge to the identical state.
-  std::vector<std::uint8_t> after_crash = disk_.data();
+  std::vector<std::uint8_t> after_crash(disk_.data().begin(), disk_.data().end());
   RamDisk disk1(after_crash);
   Remount rm1(cfg_, &disk1);
   ASSERT_EQ(rm1.fs.Mount(&rm1.burn), 0);

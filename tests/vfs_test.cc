@@ -221,8 +221,7 @@ TEST_F(VfsTest, MknodCreatesWorkingDeviceInode) {
 
 TEST(FsImage, RootImageContainsAllApps) {
   FsSpec extra;
-  auto image = BuildRootImage(extra);
-  RamDisk disk(image);
+  RamDisk disk(BuildRootImage(extra));
   KernelConfig cfg;
   Bcache bc(cfg);
   Xv6Fs fs(bc, bc.AddDevice(&disk), cfg);
