@@ -9,6 +9,7 @@
 #include "src/fs/fat32.h"
 #include "src/fs/xv6fs.h"
 #include "src/hw/event_queue.h"
+#include "src/hw/phys_mem.h"
 #include "src/media/vmv.h"
 #include "src/ulib/pixel.h"
 #include "src/vos/prototypes.h"
@@ -133,6 +134,20 @@ void BM_FiberSwitch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FiberSwitch);
+
+// The hot path of every simulated memory access on a scrambled board: a load
+// from a page that already got its junk still checks that it has.
+void BM_PhysMemLoad(benchmark::State& state) {
+  PhysMem mem(MiB(1));
+  mem.Scramble(1);
+  const PhysAddr page = KiB(64);
+  mem.Load<std::uint64_t>(page);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.Load<std::uint64_t>(page + (i++ % 512) * 8));
+  }
+}
+BENCHMARK(BM_PhysMemLoad);
 
 void BM_BootProto5(benchmark::State& state) {
   for (auto _ : state) {

@@ -3,6 +3,7 @@
 #ifndef VOS_SRC_BASE_RANDOM_H_
 #define VOS_SRC_BASE_RANDOM_H_
 
+#include <array>
 #include <cstdint>
 
 namespace vos {
@@ -25,8 +26,26 @@ class Rng {
   // True with probability p (clamped to [0,1]).
   bool Chance(double p);
 
+  // The current state, never 0: Rng(state()) continues this sequence.
+  std::uint64_t state() const { return state_; }
+
  private:
   std::uint64_t state_;
+};
+
+// Jumps an Rng state ahead by a fixed number of Next() calls in 64 steps
+// instead of one per call. The xorshift64 state update is linear over GF(2),
+// so `calls` updates are one 64x64 bit matrix, built by repeated squaring.
+class RngJump {
+ public:
+  explicit RngJump(std::uint64_t calls);
+
+  // The state of Rng(state) after `calls` calls of Next().
+  std::uint64_t operator()(std::uint64_t state) const;
+
+ private:
+  // Column i is the image of state bit i.
+  std::array<std::uint64_t, 64> cols_;
 };
 
 }  // namespace vos

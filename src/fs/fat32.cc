@@ -226,7 +226,7 @@ std::uint32_t FatVolume::AllocCluster(Cycles* burn) {
 
 void FatVolume::FreeChain(std::uint32_t first, Cycles* burn) {
   std::uint32_t c = first;
-  while (c >= 2 && c < kFatEoc) {
+  while (IsDataCluster(c)) {
     std::uint32_t next = ReadFatEntry(c, burn);
     WriteFatEntry(c, kFatFree, burn);
     c = next;
@@ -234,7 +234,7 @@ void FatVolume::FreeChain(std::uint32_t first, Cycles* burn) {
 }
 
 std::uint32_t FatVolume::WalkChain(std::uint32_t cluster, std::uint32_t hops, Cycles* burn) {
-  while (hops > 0 && cluster >= 2 && cluster < kFatEoc) {
+  while (hops > 0 && IsDataCluster(cluster)) {
     cluster = ReadFatEntry(cluster, burn);
     --hops;
   }
@@ -246,38 +246,41 @@ std::uint32_t FatVolume::ExtendChain(std::uint32_t last, Cycles* burn) {
   if (fresh == 0) {
     return 0;
   }
-  if (last >= 2 && last < kFatEoc) {
+  if (IsDataCluster(last)) {
     WriteFatEntry(last, fresh, burn);
   }
   return fresh;
 }
 
-bool FatVolume::ForEachRawEntry(
+std::int64_t FatVolume::ForEachRawEntry(
     const FatNode& dir,
     const std::function<bool(std::uint64_t, std::uint32_t, RawEntry&)>& fn, Cycles* burn) {
   std::uint32_t c = dir.first_cluster;
-  while (c >= 2 && c < kFatEoc) {
+  while (IsDataCluster(c)) {
     for (std::uint32_t s = 0; s < spc_; ++s) {
       std::uint64_t sector = ClusterFirstSector(c) + s;
       Cycles rc = 0;
       Buf* b = bc_.Read(dev_, sector, &rc);
       *burn += rc;
       if (b == nullptr) {
-        return false;  // unreadable directory sector: stop the walk
+        return 0;  // unreadable directory sector: stop the walk
       }
       for (std::uint32_t off = 0; off < kBlockSize; off += 32) {
         RawEntry e;
         std::memcpy(e.bytes, b->data.data() + off, 32);
         if (fn(sector, off, e)) {
           bc_.Release(b);
-          return true;
+          return 0;
         }
       }
       bc_.Release(b);
     }
     c = ReadFatEntry(c, burn);
   }
-  return false;
+  if (IsCorruptLink(c)) {
+    return kErrIo;
+  }
+  return 0;
 }
 
 std::optional<FatDirEntryInfo> FatVolume::LookupInDir(const FatNode& dir,
@@ -411,7 +414,7 @@ std::int64_t FatVolume::Read(const FatNode& f, std::uint8_t* out, std::uint32_t 
   std::uint32_t c = WalkChain(f.first_cluster, off / cb, burn);
   std::uint32_t coff = off % cb;
   std::vector<std::uint8_t> temp;
-  while (done < n && c >= 2 && c < kFatEoc) {
+  while (done < n && IsDataCluster(c)) {
     // Grow a contiguous cluster run covering as much of the request as we can.
     std::uint32_t run = 1;
     std::uint32_t last = c;
@@ -435,6 +438,9 @@ std::int64_t FatVolume::Read(const FatNode& f, std::uint8_t* out, std::uint32_t 
     done += static_cast<std::uint32_t>(want);
     coff = 0;
     c = ReadFatEntry(last, burn);
+  }
+  if (done == 0 && n > 0 && IsCorruptLink(c)) {
+    return kErrIo;
   }
   return done;
 }
@@ -461,10 +467,13 @@ std::int64_t FatVolume::Write(FatNode& f, const std::uint8_t* in, std::uint32_t 
   std::uint32_t have = 0;
   std::uint32_t last = 0;
   std::uint32_t c = f.first_cluster;
-  while (c >= 2 && c < kFatEoc) {
+  while (IsDataCluster(c)) {
     ++have;
     last = c;
     c = ReadFatEntry(c, burn);
+  }
+  if (IsCorruptLink(c)) {
+    return kErrIo;
   }
   while (have < clusters_needed) {
     std::uint32_t fresh = ExtendChain(last, burn);
@@ -481,7 +490,7 @@ std::int64_t FatVolume::Write(FatNode& f, const std::uint8_t* in, std::uint32_t 
   c = WalkChain(f.first_cluster, off / cb, burn);
   std::uint32_t coff = off % cb;
   while (done < n) {
-    if (!(c >= 2 && c < kFatEoc)) {
+    if (!IsDataCluster(c)) {
       io_err = true;  // chain ended early (unreadable FAT sector)
       break;
     }
@@ -585,7 +594,7 @@ std::int64_t FatVolume::AddDirEntry(FatNode& dir, const std::string& name, std::
 
   // Find a run of free slots; remember (sector, offset) pairs.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> run;
-  ForEachRawEntry(
+  std::int64_t walked = ForEachRawEntry(
       dir,
       [&](std::uint64_t sector, std::uint32_t off, RawEntry& e) {
         std::uint8_t first = e.bytes[0];
@@ -597,12 +606,15 @@ std::int64_t FatVolume::AddDirEntry(FatNode& dir, const std::string& name, std::
         return false;
       },
       burn);
+  if (walked < 0) {
+    return walked;
+  }
 
   while (run.size() < slots_needed) {
     // Extend the directory with a fresh zeroed cluster and use its slots.
     std::uint32_t last = dir.first_cluster;
     std::uint32_t c = last;
-    while (c >= 2 && c < kFatEoc) {
+    while (IsDataCluster(c)) {
       last = c;
       c = ReadFatEntry(c, burn);
     }
@@ -722,7 +734,11 @@ std::int64_t FatVolume::Unlink(const std::string& path, Cycles* burn) {
   }
   if (node.is_dir) {
     // Only empty directories.
-    auto entries = ReadDir(node, burn);
+    std::vector<FatDirEntryInfo> entries;
+    std::int64_t r = ReadDir(node, &entries, burn);
+    if (r < 0) {
+      return r;
+    }
     if (!entries.empty()) {
       return kErrNotEmpty;
     }
@@ -789,12 +805,12 @@ std::int64_t FatVolume::Truncate(FatNode& f, Cycles* burn) {
   return 0;
 }
 
-std::vector<FatDirEntryInfo> FatVolume::ReadDir(const FatNode& dir, Cycles* burn) {
-  std::vector<FatDirEntryInfo> out;
+std::int64_t FatVolume::ReadDir(const FatNode& dir, std::vector<FatDirEntryInfo>* out,
+                               Cycles* burn) {
   std::string lfn_accum;
   std::uint8_t lfn_checksum = 0;
   bool lfn_valid = false;
-  ForEachRawEntry(
+  return ForEachRawEntry(
       dir,
       [&](std::uint64_t, std::uint32_t, RawEntry& e) {
         std::uint8_t first = e.bytes[0];
@@ -836,12 +852,11 @@ std::vector<FatDirEntryInfo> FatVolume::ReadDir(const FatNode& dir, Cycles* burn
         info.size = Rd32(e.bytes + 28);
         info.is_dir = (attr & kFatAttrDir) != 0;
         info.first_cluster = (std::uint32_t(Rd16(e.bytes + 20)) << 16) | Rd16(e.bytes + 26);
-        out.push_back(info);
+        out->push_back(info);
         lfn_valid = false;
         return false;
       },
       burn);
-  return out;
 }
 
 std::uint32_t FatVolume::FreeClusters(Cycles* burn) {

@@ -72,7 +72,8 @@ class FatVolume {
   std::int64_t Unlink(const std::string& path, Cycles* burn);
   std::int64_t Truncate(FatNode& f, Cycles* burn);
 
-  std::vector<FatDirEntryInfo> ReadDir(const FatNode& dir, Cycles* burn);
+  // Lists `dir` into `out`; returns 0, or kErrIo if its chain is corrupt.
+  std::int64_t ReadDir(const FatNode& dir, std::vector<FatDirEntryInfo>* out, Cycles* burn);
 
   std::uint32_t FreeClusters(Cycles* burn);
   std::uint32_t cluster_bytes() const { return spc_ * kBlockSize; }
@@ -87,6 +88,11 @@ class FatVolume {
   static void Mkfs(std::span<std::uint8_t> volume, std::uint32_t sectors_per_cluster = 8);
 
  private:
+  // A cluster number that names a data cluster of this volume. Chain walkers
+  // stop at anything else: at end-of-chain normally, and at a corrupt link
+  // (an out-of-range value from a dirent or the FAT) with kErrIo.
+  bool IsDataCluster(std::uint32_t c) const { return c >= 2 && c < cluster_count_ + 2; }
+  bool IsCorruptLink(std::uint32_t c) const { return c >= cluster_count_ + 2 && c < kFatEoc; }
   std::uint64_t ClusterFirstSector(std::uint32_t cluster) const;
   std::uint32_t ReadFatEntry(std::uint32_t cluster, Cycles* burn);
   void WriteFatEntry(std::uint32_t cluster, std::uint32_t value, Cycles* burn);
@@ -101,10 +107,11 @@ class FatVolume {
     std::uint8_t bytes[32];
   };
   // Iterates raw 32-byte entries of a directory, calling fn(sector, offset,
-  // entry). fn returns true to stop. Returns whether it was stopped.
-  bool ForEachRawEntry(const FatNode& dir,
-                       const std::function<bool(std::uint64_t, std::uint32_t, RawEntry&)>& fn,
-                       Cycles* burn);
+  // entry). fn returns true to stop. Returns 0, or kErrIo if the walk ran into
+  // a corrupt link before fn stopped it.
+  std::int64_t ForEachRawEntry(
+      const FatNode& dir, const std::function<bool(std::uint64_t, std::uint32_t, RawEntry&)>& fn,
+      Cycles* burn);
   std::optional<FatDirEntryInfo> LookupInDir(const FatNode& dir, const std::string& name,
                                              FatNode* node_out, Cycles* burn);
   std::int64_t AddDirEntry(FatNode& dir, const std::string& name, std::uint8_t attr,

@@ -548,10 +548,12 @@ std::int64_t Vfs::ReadDir(Task* t, const std::string& upath, std::vector<DirEntr
       if (!node->is_dir) {
         return kErrNotDir;
       }
-      for (const auto& e : vol->ReadDir(*node, burn)) {
+      std::vector<FatDirEntryInfo> entries;
+      std::int64_t r = vol->ReadDir(*node, &entries, burn);
+      for (const auto& e : entries) {
         out->push_back(DirEntryInfo{e.name, e.is_dir, e.size});
       }
-      return 0;
+      return r;
     }
     case Realm::kDev:
       for (const auto& [name, dev] : devices_) {

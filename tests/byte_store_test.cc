@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/byte_store.h"
@@ -86,6 +87,19 @@ TEST(Residency, UnscrambledDramHasNoResidentPagesUntilWritten) {
   std::size_t resident = ResidentBytes(base, mem.size());
   EXPECT_GT(resident, 0u);
   EXPECT_LE(resident, MiB(2));  // one page, or one huge page
+}
+
+TEST(Residency, ScrambledDramGetsJunkPageByPageOnFirstTouch) {
+  PhysMem mem(MiB(64));
+  mem.Scramble(42);
+  // A zero-length range reaches no page, so this pointer touches nothing.
+  const std::uint8_t* base = std::as_const(mem).Ptr(0, 0);
+  const std::size_t before = ResidentBytes(base, mem.size());
+  EXPECT_LT(before, MiB(2));
+  EXPECT_NE(mem.Load<std::uint64_t>(MiB(40)), 0u);
+  const std::size_t after = ResidentBytes(base, mem.size());
+  EXPECT_GT(after, before);
+  EXPECT_LE(after - before, MiB(2));  // one page, or one huge page
 }
 
 TEST(Residency, EmptyProvisionedSdCardStaysMostlyUnbacked) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/base/random.h"
 #include "src/base/status.h"
@@ -29,6 +33,13 @@ class Fat32Test : public ::testing::Test {
     std::vector<std::uint8_t> out(f.size);
     Cycles burn = 0;
     EXPECT_EQ(fat_.Read(f, out.data(), 0, f.size, &burn), static_cast<std::int64_t>(f.size));
+    return out;
+  }
+
+  std::vector<FatDirEntryInfo> ListDir(const FatNode& dir) {
+    std::vector<FatDirEntryInfo> out;
+    Cycles burn = 0;
+    EXPECT_EQ(fat_.ReadDir(dir, &out, &burn), 0);
     return out;
   }
 
@@ -68,7 +79,7 @@ TEST_F(Fat32Test, LongFileNamesStoredAndFound) {
   // Case-insensitive, as FAT is.
   EXPECT_TRUE(fat_.Lookup("/a long NAME with spaces and mixedcase.TAR.GZ", &burn).has_value());
   // The directory listing shows the long name.
-  auto entries = fat_.ReadDir(fat_.Root(), &burn);
+  auto entries = ListDir(fat_.Root());
   bool seen = false;
   for (const auto& e : entries) {
     seen |= e.name == "A long name with spaces and MixedCase.tar.gz";
@@ -78,8 +89,7 @@ TEST_F(Fat32Test, LongFileNamesStoredAndFound) {
 
 TEST_F(Fat32Test, ShortNamesStayShort) {
   MustCreate("/README.TXT");
-  Cycles burn = 0;
-  auto entries = fat_.ReadDir(fat_.Root(), &burn);
+  auto entries = ListDir(fat_.Root());
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].name, "README.TXT");
 }
@@ -122,7 +132,7 @@ TEST_F(Fat32Test, SubdirectoriesNest) {
   MustCreate("/photos/2025/trip.bmp");
   Cycles burn = 0;
   EXPECT_TRUE(fat_.Lookup("/photos/2025/trip.bmp", &burn).has_value());
-  auto lst = fat_.ReadDir(*fat_.Lookup("/photos", &burn), &burn);
+  auto lst = ListDir(*fat_.Lookup("/photos", &burn));
   ASSERT_EQ(lst.size(), 1u);
   EXPECT_TRUE(lst[0].is_dir);
 }
@@ -148,7 +158,7 @@ TEST_F(Fat32Test, UnlinkReclaimsLfnSlots) {
     MustCreate(name);
     EXPECT_EQ(fat_.Unlink(name, &burn), 0);
   }
-  auto entries = fat_.ReadDir(fat_.Root(), &burn);
+  auto entries = ListDir(fat_.Root());
   EXPECT_TRUE(entries.empty());
 }
 
@@ -193,7 +203,7 @@ TEST_F(Fat32Test, DirectoryGrowsBeyondOneCluster) {
   for (int i = 0; i < 60; ++i) {
     MustCreate("/some quite long file name number " + std::to_string(i) + ".txt");
   }
-  auto entries = fat_.ReadDir(fat_.Root(), &burn);
+  auto entries = ListDir(fat_.Root());
   EXPECT_EQ(entries.size(), 60u);
   for (int i = 0; i < 60; ++i) {
     EXPECT_TRUE(fat_.Lookup("/some quite long file name number " + std::to_string(i) + ".txt",
@@ -336,6 +346,130 @@ TEST_F(FatBadBpbTest, RejectsRootClusterOutsideVolume) {
   EXPECT_EQ(Mount(), kErrIo);
   SetBpb32(44, 0x0ffffff0);
   EXPECT_EQ(Mount(), kErrIo);
+}
+
+// A cluster number outside [2, cluster_count + 2) is corrupt on-disk state,
+// whether it comes from a dirent or from a FAT link. Reads and directory walks
+// that reach one return kErrIo; they used to panic on "cluster out of range".
+class FatCorruptChainTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kFiles = 130;  // more dirents than one cluster holds
+
+  FatCorruptChainTest() : disk_(MiB(8)) {
+    FatVolume::Mkfs(disk_.data());
+    Remount();
+    Cycles burn = 0;
+    FatNode big;
+    EXPECT_EQ(fat_->Create("/big.bin", false, &big, &burn), 0);
+    std::vector<std::uint8_t> data(3 * fat_->cluster_bytes(), 0x5a);
+    EXPECT_EQ(fat_->Write(big, data.data(), 0, static_cast<std::uint32_t>(data.size()), &burn),
+              static_cast<std::int64_t>(data.size()));
+    EXPECT_EQ(fat_->Create("/d", true, nullptr, &burn), 0);
+    for (std::uint32_t i = 0; i < kFiles; ++i) {
+      EXPECT_EQ(fat_->Create("/d/F" + std::to_string(i), false, nullptr, &burn), 0);
+    }
+    bc_->FlushAll();
+  }
+
+  // Drops every cached sector, so the volume sees what is on the disk now.
+  void Remount() {
+    fat_.reset();
+    bc_ = std::make_unique<Bcache>(cfg_);
+    fat_ = std::make_unique<FatVolume>(*bc_, bc_->AddDevice(&disk_), cfg_);
+    Cycles burn = 0;
+    ASSERT_EQ(fat_->Mount(&burn), 0);
+  }
+
+  FatNode MustLookup(const std::string& path) {
+    Cycles burn = 0;
+    std::optional<FatNode> node = fat_->Lookup(path, &burn);
+    EXPECT_TRUE(node.has_value()) << path;
+    return node.value_or(FatNode{});
+  }
+
+  void Poke16(std::uint64_t off, std::uint16_t v) {
+    disk_.data()[off] = static_cast<std::uint8_t>(v);
+    disk_.data()[off + 1] = static_cast<std::uint8_t>(v >> 8);
+  }
+  void SetFirstCluster(const FatNode& f, std::uint32_t cluster) {
+    std::uint64_t e = f.dirent_sector * kBlockSize + f.dirent_offset;
+    Poke16(e + 20, static_cast<std::uint16_t>(cluster >> 16));
+    Poke16(e + 26, static_cast<std::uint16_t>(cluster));
+  }
+  // Points `cluster`'s link in both FAT copies at `next`.
+  void SetFatLink(std::uint32_t cluster, std::uint32_t next) {
+    const std::uint8_t* bpb = disk_.data().data();
+    std::uint64_t reserved = bpb[14] | (std::uint32_t(bpb[15]) << 8);
+    std::uint64_t fat_sectors = bpb[36] | (std::uint32_t(bpb[37]) << 8) |
+                                (std::uint32_t(bpb[38]) << 16) | (std::uint32_t(bpb[39]) << 24);
+    for (std::uint64_t fat = 0; fat < bpb[16]; ++fat) {
+      std::uint64_t off = (reserved + fat * fat_sectors) * kBlockSize + std::uint64_t(cluster) * 4;
+      Poke16(off, static_cast<std::uint16_t>(next));
+      Poke16(off + 2, static_cast<std::uint16_t>(next >> 16));
+    }
+  }
+
+  std::int64_t ReadAt(const FatNode& f, std::uint32_t off) {
+    std::vector<std::uint8_t> out(f.size);
+    Cycles burn = 0;
+    return fat_->Read(f, out.data(), off, f.size - off, &burn);
+  }
+  std::int64_t WalkDir(const FatNode& dir) {
+    std::vector<FatDirEntryInfo> entries;
+    Cycles burn = 0;
+    return fat_->ReadDir(dir, &entries, &burn);
+  }
+
+  KernelConfig cfg_;
+  RamDisk disk_;
+  std::unique_ptr<Bcache> bc_;
+  std::unique_ptr<FatVolume> fat_;
+};
+
+TEST_F(FatCorruptChainTest, IntactVolumeReadsAndWalks) {
+  Remount();
+  FatNode big = MustLookup("/big.bin");
+  EXPECT_EQ(ReadAt(big, 0), static_cast<std::int64_t>(big.size));
+  std::vector<FatDirEntryInfo> entries;
+  Cycles burn = 0;
+  EXPECT_EQ(fat_->ReadDir(MustLookup("/d"), &entries, &burn), 0);
+  EXPECT_EQ(entries.size(), kFiles);
+}
+
+TEST_F(FatCorruptChainTest, DirentFirstClusterOutOfRangeIsIoError) {
+  SetFirstCluster(MustLookup("/big.bin"), 0x0ffffff0);
+  SetFirstCluster(MustLookup("/d"), 0x0ffffff0);
+  Remount();
+  FatNode big = MustLookup("/big.bin");
+  FatNode dir = MustLookup("/d");
+  EXPECT_EQ(ReadAt(big, 0), kErrIo);
+  EXPECT_EQ(ReadAt(big, fat_->cluster_bytes()), kErrIo);
+  EXPECT_EQ(WalkDir(dir), kErrIo);
+  // Nor may writes, lookups below or removal of the directory panic.
+  Cycles burn = 0;
+  std::uint8_t byte = 1;
+  EXPECT_EQ(fat_->Write(big, &byte, 0, 1, &burn), kErrIo);
+  EXPECT_FALSE(fat_->Lookup("/d/F1", &burn).has_value());
+  EXPECT_EQ(fat_->Create("/d/new", false, nullptr, &burn), kErrIo);
+  EXPECT_EQ(fat_->Unlink("/d", &burn), kErrIo);
+}
+
+TEST_F(FatCorruptChainTest, FatLinkOutOfRangeIsIoError) {
+  FatNode big = MustLookup("/big.bin");
+  FatNode dir = MustLookup("/d");
+  const std::uint32_t past_end = fat_->total_clusters() + 2;
+  SetFatLink(big.first_cluster, past_end);
+  SetFatLink(dir.first_cluster, past_end);
+  Remount();
+  const std::uint32_t cb = fat_->cluster_bytes();
+  // The first cluster is still readable; the link after it is not.
+  EXPECT_EQ(ReadAt(big, 0), static_cast<std::int64_t>(cb));
+  EXPECT_EQ(ReadAt(big, cb), kErrIo);
+  EXPECT_EQ(WalkDir(dir), kErrIo);
+  Cycles burn = 0;
+  std::uint8_t byte = 1;
+  EXPECT_EQ(fat_->Write(big, &byte, big.size, 1, &burn), kErrIo);
+  EXPECT_EQ(fat_->Unlink("/d", &burn), kErrIo);
 }
 
 }  // namespace
