@@ -77,10 +77,9 @@ void Run() {
       prof.samples() > 0 ? double(prof.symbolized()) * 100.0 / double(prof.samples()) : 0;
   std::printf("prof on:  %.0f us virtual (hz %u)\n", on_us, 100u);
   std::printf("overhead: %.2f%% (contract: <= 5%%)\n", overhead_pct);
-  std::printf("samples:  %llu oncpu+offcpu (%llu offcpu), %.1f%% symbolized, %llu dropped\n",
+  std::printf("samples:  %llu oncpu+offcpu (%llu offcpu), %.1f%% symbolized\n",
               static_cast<unsigned long long>(prof.samples()),
-              static_cast<unsigned long long>(prof.offcpu_samples()), symbolized_pct,
-              static_cast<unsigned long long>(prof.dropped()));
+              static_cast<unsigned long long>(prof.offcpu_samples()), symbolized_pct);
 
   // The folded dump is the CI artifact: a real flamegraph input from the run.
   const std::string folded = prof.ExportText();
@@ -102,8 +101,7 @@ void Run() {
        << "  \"prof_hz\": 100,\n"
        << "  \"samples\": " << prof.samples() << ",\n"
        << "  \"offcpu_samples\": " << prof.offcpu_samples() << ",\n"
-       << "  \"symbolized_pct\": " << symbolized_pct << ",\n"
-       << "  \"dropped\": " << prof.dropped() << "\n"
+       << "  \"symbolized_pct\": " << symbolized_pct << "\n"
        << "}\n";
   std::printf("wrote bench/out/BENCH_prof.json\n");
   delete on_sys;

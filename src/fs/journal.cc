@@ -399,29 +399,6 @@ Journal::Stats Journal::stats() const {
   return s;
 }
 
-std::string Journal::StatusText() {
-  Stats s = stats();
-  std::string out;
-  out += "active " + std::to_string(active() ? 1 : 0) + "\n";
-  out += "capacity_slots " + std::to_string(capacity_) + "\n";
-  out += "live_slots " + std::to_string(s.live_slots) + "\n";
-  out += "log_util_pct " +
-         std::to_string(capacity_ > 0 ? (s.live_slots * 100) / capacity_ : 0) + "\n";
-  out += "open_blocks " + std::to_string(s.open_blocks) + "\n";
-  out += "backlog_blocks " + std::to_string(s.backlog_blocks) + "\n";
-  out += "commits " + std::to_string(s.commits) + "\n";
-  out += "commit_errors " + std::to_string(s.commit_errors) + "\n";
-  out += "txs " + std::to_string(s.txs) + "\n";
-  out += "log_writes " + std::to_string(s.log_writes) + "\n";
-  out += "blocks_logged " + std::to_string(s.blocks_logged) + "\n";
-  out += "coalesced " + std::to_string(s.coalesced) + "\n";
-  out += "checkpoints " + std::to_string(s.checkpoints) + "\n";
-  out += "checkpoint_blocks " + std::to_string(s.checkpoint_blocks) + "\n";
-  out += "backpressure_syncs " + std::to_string(s.backpressure_syncs) + "\n";
-  out += "pinned_bufs " + std::to_string(bc_.PinnedCount(dev_)) + "\n";
-  return out;
-}
-
 std::int64_t Journal::Recover(Bcache& bc, int dev, const Xv6Superblock& sb,
                               RecoveryResult* out, Cycles* burn) {
   *out = RecoveryResult{};

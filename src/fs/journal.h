@@ -41,7 +41,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 
 #include "src/base/units.h"
 #include "src/fs/bcache.h"
@@ -139,7 +138,6 @@ class Journal {
   };
   Stats stats() const;
   std::uint32_t capacity() const { return capacity_; }
-  std::string StatusText();
 
   void SetNowFn(std::function<Cycles()> now) { now_ = std::move(now); }
   void SetTraceHook(std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace) {

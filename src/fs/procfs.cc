@@ -41,19 +41,6 @@ std::string FormatTasks(const std::vector<ProcTaskLine>& tasks) {
   return os.str();
 }
 
-std::string FormatBlkStat(const std::vector<ProcBlkLine>& devs) {
-  std::ostringstream os;
-  os << "DEV\tREADS\tWRITES\tBLK_RD\tBLK_WR\tHITS\tMISSES\tWBACKS\tMERGED\tQHW\tDIRTY"
-        "\tRETRIES\tERRS\tTMOUTS\n";
-  for (const ProcBlkLine& d : devs) {
-    os << d.name << "\t" << d.reads << "\t" << d.writes << "\t" << d.blocks_read << "\t"
-       << d.blocks_written << "\t" << d.hits << "\t" << d.misses << "\t" << d.writebacks << "\t"
-       << d.merged << "\t" << d.queue_depth_hw << "\t" << d.dirty << "\t" << d.io_retries << "\t"
-       << d.io_errors << "\t" << d.io_timeouts << "\n";
-  }
-  return os.str();
-}
-
 std::string FormatMemStat(const ProcMemStat& ms) {
   std::ostringstream os;
   char buf[160];
@@ -138,38 +125,6 @@ bool ParseMemFree(const std::string& meminfo, std::uint64_t* total_kb, std::uint
     }
   }
   return got_total && got_free;
-}
-
-bool ParseBlkStat(const std::string& blkstat, std::vector<ProcBlkLine>* out) {
-  out->clear();
-  std::istringstream is(blkstat);
-  std::string line;
-  while (std::getline(is, line)) {
-    char name[64];
-    unsigned long long v[13];
-    if (std::sscanf(line.c_str(),
-                    "%63s %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu", name,
-                    &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7], &v[8], &v[9], &v[10],
-                    &v[11], &v[12]) == 14) {
-      ProcBlkLine d;
-      d.name = name;
-      d.reads = v[0];
-      d.writes = v[1];
-      d.blocks_read = v[2];
-      d.blocks_written = v[3];
-      d.hits = v[4];
-      d.misses = v[5];
-      d.writebacks = v[6];
-      d.merged = v[7];
-      d.queue_depth_hw = v[8];
-      d.dirty = v[9];
-      d.io_retries = v[10];
-      d.io_errors = v[11];
-      d.io_timeouts = v[12];
-      out->push_back(std::move(d));
-    }
-  }
-  return !out->empty();
 }
 
 std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,

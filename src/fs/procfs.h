@@ -32,25 +32,6 @@ struct ProcTaskLine {
   std::uint64_t blocked_ms = 0;
 };
 
-// One /proc/blkstat row: per-device block-layer counters plus the current
-// dirty buffer count for that device.
-struct ProcBlkLine {
-  std::string name;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t blocks_read = 0;
-  std::uint64_t blocks_written = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t writebacks = 0;
-  std::uint64_t merged = 0;
-  std::uint64_t queue_depth_hw = 0;
-  std::uint64_t dirty = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t io_errors = 0;
-  std::uint64_t io_timeouts = 0;
-};
-
 // /proc/memstat: the memory path end to end — buddy PMM state (free blocks
 // by order, fragmentation, op counters) plus slab kmalloc state (per-class
 // slab utilization, per-core cache hit rates).
@@ -109,7 +90,6 @@ std::string FormatMemInfo(std::uint64_t total_pages, std::uint64_t free_pages,
                           std::uint64_t kernel_reserved_bytes);
 std::string FormatUptime(std::uint64_t uptime_ms);
 std::string FormatTasks(const std::vector<ProcTaskLine>& tasks);
-std::string FormatBlkStat(const std::vector<ProcBlkLine>& devs);
 std::string FormatMemStat(const ProcMemStat& ms);
 std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,
                             const std::vector<ProcTaskLine>& tasks);
@@ -117,7 +97,6 @@ std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,
 // Parsers used by sysmon (the other direction of the same format).
 bool ParseCpuUtilization(const std::string& cpuinfo, std::vector<double>* out);
 bool ParseMemFree(const std::string& meminfo, std::uint64_t* total_kb, std::uint64_t* free_kb);
-bool ParseBlkStat(const std::string& blkstat, std::vector<ProcBlkLine>* out);
 bool ParseSchedStat(const std::string& schedstat, std::vector<ProcSchedLine>* out);
 // The per-task rows of the same file (sysmon's TOP-style table).
 bool ParseSchedTasks(const std::string& schedstat, std::vector<ProcTaskLine>* out);

@@ -186,7 +186,6 @@ struct KernelConfig {
   // 10 ms of virtual time per core.
   bool prof_enabled = false;          // start sampling at boot
   std::uint32_t prof_hz = 100;        // samples per virtual second per core
-  std::uint32_t prof_ring_capacity = 8192;  // sample records per core
   std::uint32_t prof_max_frames = 24; // frames kept per sample (deepest first)
   bool prof_offcpu = true;            // attribute blocked-time to sleep stacks
 

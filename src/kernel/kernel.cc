@@ -130,7 +130,6 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   metrics_.Gauge("prof.samples", [this] { return profiler_.samples(); });
   metrics_.Gauge("prof.offcpu_samples", [this] { return profiler_.offcpu_samples(); });
   metrics_.Gauge("prof.symbolized", [this] { return profiler_.symbolized(); });
-  metrics_.Gauge("prof.dropped", [this] { return profiler_.dropped(); });
   watchdog_bark_counter_ = metrics_.Counter("watchdog.barks");
   metrics_.Gauge("trace.emitted", [this] { return trace_.total_emitted(); });
   metrics_.Gauge("trace.dropped", [this] { return trace_.total_dropped(); });
@@ -323,7 +322,9 @@ Kernel::BootReport Kernel::Boot() {
     // Write-ahead journal: Mount() already ran recovery-by-replay; the live
     // journal attaches only when the knob is on AND the image carries a log.
     // FAT32 volumes stay unjournaled (see README): removable media interop
-    // means the on-disk format is not ours to extend.
+    // means the on-disk format is not ours to extend. jrnl.active is
+    // registered journal or not, so an unjournaled /proc/jrnl reads "active 0".
+    metrics_.Gauge("jrnl.active", [this] { return journal_ != nullptr ? 1 : 0; });
     if (cfg_.jrnl_enabled) {
       journal_ = std::make_unique<Journal>(*bcache_, ramdisk_dev_, cfg_);
       if (journal_->Init(rootfs_->sb(), &fs_time) == 0 && journal_->active()) {
@@ -340,6 +341,7 @@ Kernel::BootReport Kernel::Boot() {
         metrics_.Gauge("jrnl.commit_errors",
                        [this] { return journal_->stats().commit_errors; });
         metrics_.Gauge("jrnl.txs", [this] { return journal_->stats().txs; });
+        metrics_.Gauge("jrnl.log_writes", [this] { return journal_->stats().log_writes; });
         metrics_.Gauge("jrnl.blocks_logged",
                        [this] { return journal_->stats().blocks_logged; });
         metrics_.Gauge("jrnl.coalesced", [this] { return journal_->stats().coalesced; });
@@ -349,8 +351,14 @@ Kernel::BootReport Kernel::Boot() {
         metrics_.Gauge("jrnl.backpressure_syncs",
                        [this] { return journal_->stats().backpressure_syncs; });
         metrics_.Gauge("jrnl.live_slots", [this] { return journal_->stats().live_slots; });
+        metrics_.Gauge("jrnl.open_blocks", [this] { return journal_->stats().open_blocks; });
         metrics_.Gauge("jrnl.backlog_blocks",
                        [this] { return journal_->stats().backlog_blocks; });
+        metrics_.Gauge("jrnl.capacity_slots", [this] { return journal_->capacity(); });
+        metrics_.Gauge("jrnl.log_util_pct", [this] {
+          return std::uint64_t(journal_->stats().live_slots) * 100 / journal_->capacity();
+        });
+        metrics_.Gauge("jrnl.pinned_bufs", [this] { return bcache_->PinnedCount(ramdisk_dev_); });
         metrics_.Gauge("jrnl.recovered_records", [this] { return rootfs_->recovered_records(); });
         metrics_.Gauge("jrnl.recovered_blocks", [this] { return rootfs_->recovered_blocks(); });
       } else {
@@ -413,36 +421,10 @@ Kernel::BootReport Kernel::Boot() {
       return std::to_string(fb_driver_->width()) + " " + std::to_string(fb_driver_->height()) +
              " " + std::to_string(fb_driver_->pitch()) + "\n";
     });
-    // /proc/blkstat is a formatted view over the metrics registry: every
-    // counter flows through the block.<dev>.* gauges /proc/metrics exports.
-    vfs_->RegisterProc("blkstat", [this] {
-      std::vector<ProcBlkLine> lines;
-      for (int d = 0; d < bcache_->device_count(); ++d) {
-        std::string pfx = "block." + bcache_->stats(d).name + ".";
-        auto val = [&](const char* field) {
-          std::uint64_t v = 0;
-          metrics_.Value(pfx + field, &v);
-          return v;
-        };
-        ProcBlkLine l;
-        l.name = bcache_->stats(d).name;
-        l.reads = val("reads");
-        l.writes = val("writes");
-        l.blocks_read = val("blocks_read");
-        l.blocks_written = val("blocks_written");
-        l.hits = val("hits");
-        l.misses = val("misses");
-        l.writebacks = val("writebacks");
-        l.merged = val("merged");
-        l.queue_depth_hw = val("queue_depth_hw");
-        l.dirty = val("dirty");
-        l.io_retries = val("io_retries");
-        l.io_errors = val("io_errors");
-        l.io_timeouts = val("io_timeouts");
-        lines.push_back(std::move(l));
-      }
-      return FormatBlkStat(lines);
-    });
+    // /proc/blkstat and /proc/jrnl are the block.* and jrnl.* slices of the
+    // metrics registry, prefix stripped ("ramdisk.reads 12", "active 1").
+    vfs_->RegisterProc("blkstat", [this] { return metrics_.ExportText("block."); });
+    vfs_->RegisterProc("jrnl", [this] { return metrics_.ExportText("jrnl."); });
     // /proc/faultinject: read shows injector state and fault counters; write
     // accepts the command language (see FaultInjector::Command).
     vfs_->RegisterProc("faultinject", [this] { return fault_->StatusText(); });
@@ -455,17 +437,6 @@ Kernel::BootReport Kernel::Boot() {
         "profile", [this](const std::string& text) { return profiler_.Command(text, Now()); });
     vfs_->RegisterProc("lockdep", [] { return Lockdep::Instance().Report(); });
     vfs_->RegisterProc("racedet", [] { return Racedet::Instance().Report(); });
-    // /proc/jrnl: journal state and counters; "active 0" when the image is
-    // unjournaled or the journal is disabled.
-    vfs_->RegisterProc("jrnl", [this] {
-      if (journal_ == nullptr) {
-        return std::string("active 0\n");
-      }
-      std::string out = journal_->StatusText();
-      out += "recovered_records " + std::to_string(rootfs_->recovered_records()) + "\n";
-      out += "recovered_blocks " + std::to_string(rootfs_->recovered_blocks()) + "\n";
-      return out;
-    });
     // /proc/memstat scalars are a view over the registry's pmm.*/slab.*
     // gauges; only distribution detail (per-order, per-class) is read direct.
     vfs_->RegisterProc("memstat", [this] {

@@ -58,7 +58,18 @@ const Histogram* Metrics::FindHist(const std::string& name) const {
   return it == RD_READ(hists_).end() ? nullptr : it->second.get();
 }
 
-std::string Metrics::ExportText() const {
+namespace {
+// Appends (name minus prefix, value) for every entry of a name-sorted map
+// whose name starts with `prefix`.
+template <typename Map, typename Out, typename Fn>
+void CollectUnder(const Map& m, const std::string& prefix, Out* out, Fn value) {
+  for (auto it = m.lower_bound(prefix); it != m.end() && it->first.starts_with(prefix); ++it) {
+    out->emplace_back(it->first.substr(prefix.size()), value(it->second));
+  }
+}
+}  // namespace
+
+std::string Metrics::ExportText(const std::string& prefix) const {
   // Snapshot the maps under the lock, evaluate gauges after releasing it
   // (see the header comment: metrics must stay a lockdep leaf).
   std::vector<std::pair<std::string, const MetricCounter*>> counters;
@@ -66,15 +77,9 @@ std::string Metrics::ExportText() const {
   std::vector<std::pair<std::string, GaugeFn>> gauges;
   {
     SpinGuard g(lock_);
-    for (const auto& [name, c] : RD_READ(counters_)) {
-      counters.emplace_back(name, c.get());
-    }
-    for (const auto& [name, h] : RD_READ(hists_)) {
-      hists.emplace_back(name, h.get());
-    }
-    for (const auto& [name, fn] : RD_READ(gauges_)) {
-      gauges.emplace_back(name, fn);
-    }
+    CollectUnder(RD_READ(counters_), prefix, &counters, [](const auto& c) { return c.get(); });
+    CollectUnder(RD_READ(hists_), prefix, &hists, [](const auto& h) { return h.get(); });
+    CollectUnder(RD_READ(gauges_), prefix, &gauges, [](const GaugeFn& fn) { return fn; });
   }
   std::vector<std::pair<std::string, std::uint64_t>> lines;
   for (const auto& [name, c] : counters) {

@@ -1,6 +1,8 @@
 // Central metrics registry (§5.1): named monotonic counters, gauges
 // (callbacks into subsystem state), and latency histograms, registered at
 // subsystem init and exported as /proc/metrics ("name value" per line).
+// Per-subsystem /proc views (/proc/blkstat, /proc/jrnl) are the same export
+// restricted to one name prefix.
 //
 // Naming convention: dotted lowercase paths, subsystem first —
 // "block.ramdisk.reads", "sched.core0.ctx_switches", "syscall.sleep.latency".
@@ -61,7 +63,9 @@ class Metrics {
   // to /proc/metrics), each histogram additionally emits sparse
   // "name.bucket<i> count" lines — the raw log2 buckets, so offline tooling
   // can recompute any percentile instead of trusting the baked p50/p95/p99.
-  std::string ExportText() const;
+  // A non-empty `prefix` keeps only the metrics named under it and strips it
+  // from each line: ExportText("jrnl.") is the /proc/jrnl body.
+  std::string ExportText(const std::string& prefix = "") const;
 
   // The /proc/metrics command language: "buckets on" / "buckets off".
   // Returns 0 or a negative errno-style code.

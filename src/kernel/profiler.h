@@ -13,13 +13,14 @@
 // that land in unreported gaps (IRQ-debt payoff) are attributed to the next
 // span on that core, like coalesced timer ticks after a masked section.
 //
-// Each sample goes three places: a per-core lock-free ring (same seqlock
-// discipline as trace.cc, for raw inspection), the folded aggregation table
-// keyed by (task, stack-hash) under the "profiler" spinlock, and a
-// kProfSample trace event (so tools/trace2perfetto.py can render sample
-// density per core). Capture cost is charged to the sampled core as IRQ debt
-// (cost.prof_sample_capture) so profiling overhead is real in virtual time;
-// bench_prof asserts it stays ≤5% at the default prof_hz.
+// Each sample goes two places: the folded aggregation table keyed by
+// (task, stack-hash) under the "profiler" spinlock, and a kProfSample trace
+// event (a = stack hash, b = weight) in the per-core trace ring, where raw
+// samples are read back with TraceRing::DumpEvent and
+// tools/trace2perfetto.py renders sample density per core. Capture cost is
+// charged to the sampled core as IRQ debt (cost.prof_sample_capture) so
+// profiling overhead is real in virtual time; bench_prof asserts it stays
+// ≤5% at the default prof_hz.
 #ifndef VOS_SRC_KERNEL_PROFILER_H_
 #define VOS_SRC_KERNEL_PROFILER_H_
 
@@ -84,16 +85,12 @@ class Profiler {
   // line, "mode;task;frame;...;frame weight", heaviest first.
   std::string ExportText() const;
 
-  // Raw ring snapshot (seqlock read side), newest-window records per core.
-  std::vector<ProfSample> DumpSamples() const;
-
   // Counters for metrics gauges. Token-serialized or relaxed-atomic reads.
   std::uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
   std::uint64_t offcpu_samples() const {
     return offcpu_samples_.load(std::memory_order_relaxed);
   }
   std::uint64_t symbolized() const { return symbolized_.load(std::memory_order_relaxed); }
-  std::uint64_t dropped() const;
 
  private:
   // Folded aggregation entry: everything needed to print one collapsed stack.
@@ -105,20 +102,6 @@ class Profiler {
     std::array<const char*, kProfMaxFrames> frames{};
     std::uint64_t weight = 0;
     std::uint64_t count = 0;
-  };
-
-  // Per-core sample ring, one cache line of cursors per core — the trace.cc
-  // seqlock layout (see that file for the memory-ordering walkthrough).
-  //
-  // racedet policy: like TraceRing's CoreRing, these fields are deliberately
-  // NOT in the shared set — the ring is intentionally lock-free (seqlock
-  // writer, wrapping reader) and the Emit path must stay wait-free. The TSan
-  // CI leg carries the matching suppression (tools/tsan.supp).
-  struct alignas(64) CoreRing {
-    std::atomic<std::uint64_t> head{0};  // total records written since Reset
-    std::atomic<std::uint64_t> seq{0};   // seqlock: odd while a write is in flight
-    std::uint64_t next_slot = 0;         // producer-only: head % capacity
-    std::vector<ProfSample> slots;
   };
 
   // Per-core sampling cursor (machine-thread only; spans arrive in
@@ -135,11 +118,9 @@ class Profiler {
   const KernelConfig& cfg_;
   TraceRing* trace_;
   Cycles period_;
-  std::size_t cap_;
   unsigned max_frames_;
   bool running_ = false;
 
-  std::array<CoreRing, kMaxCores> rings_;
   std::array<CoreClock, kMaxCores> clocks_;
 
   // Sample counters: relaxed atomics so gauges read them wait-free.

@@ -235,6 +235,24 @@ TEST(JournalOsTest, ProcJrnlReportsJournalStateOnABootedSystem) {
             std::string::npos)
       << out;
   ASSERT_NE(out.find("recovered_records 0"), std::string::npos) << out;
+  // Every journal state field is a jrnl.* gauge, so /proc/jrnl shows it.
+  for (const char* field :
+       {"live_slots", "log_util_pct", "open_blocks", "backlog_blocks", "commits",
+        "commit_errors", "txs", "log_writes", "blocks_logged", "coalesced", "checkpoints",
+        "checkpoint_blocks", "backpressure_syncs", "pinned_bufs", "recovered_blocks"}) {
+    EXPECT_NE(out.find(std::string("\n") + field + " "), std::string::npos) << field << out;
+  }
+}
+
+TEST(JournalOsTest, ProcJrnlReadsActiveZeroWhenTheJournalIsOff) {
+  SystemOptions opt = OptionsForStage(Stage::kProto5);
+  opt.config_hook = [](KernelConfig& cfg) { cfg.jrnl_enabled = false; };
+  System sys(opt);
+  ASSERT_EQ(sys.kernel().journal(), nullptr);
+  const std::size_t before = sys.SerialOutput().size();
+  EXPECT_EQ(sys.RunProgram("cat", {"/proc/jrnl"}), 0);
+  // Only jrnl.active is registered without a live journal.
+  EXPECT_EQ(sys.SerialOutput().substr(before), "active 0\n");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/kernel/spinlock.h"
 #include "src/kernel/trace.h"
 #include "src/kernel/velf.h"
+#include "src/ulib/ustdio.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
@@ -406,20 +408,37 @@ TEST(ObservabilityBootTest, DevTraceAndTraceCoreutil) {
 TEST(ObservabilityBootTest, BlkstatAndMemstatStayCoherentWithMetrics) {
   System sys(OptionsForStage(Stage::kProto5));
   sys.Run(Ms(50));
-  // The legacy formatted views are now windows over the registry: the same
-  // numbers must appear in both /proc/blkstat and /proc/metrics.
-  const std::string blk = RunAndCapture(sys, "cat", {"/proc/blkstat"});
-  std::vector<ProcBlkLine> devs;
-  ASSERT_TRUE(ParseBlkStat(blk, &devs)) << blk;
-  const std::string metrics = RunAndCapture(sys, "cat", {"/proc/metrics"});
-  bool found_ramdisk = false;
-  for (const ProcBlkLine& d : devs) {
-    std::uint64_t reads = 0;
-    ASSERT_TRUE(ParseMetricValue(metrics, "block." + d.name + ".reads", &reads)) << d.name;
-    EXPECT_EQ(reads, d.reads) << d.name;
-    found_ramdisk |= d.name == "ramdisk";
+  // /proc/blkstat is the block.* slice of the registry: every line of it,
+  // with the prefix put back, must appear verbatim in /proc/metrics. One task
+  // snapshots both files back to back (procfs snapshots at open, and no
+  // block I/O runs between the two opens).
+  const std::size_t before = sys.SerialOutput().size();
+  ASSERT_EQ(RunInOs(sys, "blk_coherence", [](AppEnv& env) -> int {
+              std::vector<std::uint8_t> blk;
+              std::vector<std::uint8_t> metrics;
+              if (uread_file(env, "/proc/blkstat", &blk) < 0 ||
+                  uread_file(env, "/proc/metrics", &metrics) < 0) {
+                return 1;
+              }
+              uputs(env, std::string(blk.begin(), blk.end()) + "--\n" +
+                             std::string(metrics.begin(), metrics.end()));
+              return 0;
+            }),
+            0);
+  const std::string out = sys.SerialOutput().substr(before);
+  const std::size_t sep = out.find("--\n");
+  ASSERT_NE(sep, std::string::npos) << out;
+  const std::string blk = out.substr(0, sep);
+  const std::string metrics = "\n" + out.substr(sep + 3);
+  std::istringstream lines(blk);
+  std::string line;
+  int n = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_NE(metrics.find("\nblock." + line + "\n"), std::string::npos) << line;
+    ++n;
   }
-  EXPECT_TRUE(found_ramdisk);
+  EXPECT_GE(n, 13) << blk;  // at least the ramdisk's 13 per-device counters
+  EXPECT_NE(blk.find("ramdisk.reads "), std::string::npos) << blk;
 }
 
 }  // namespace

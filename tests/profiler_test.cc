@@ -1,14 +1,16 @@
 // Profiler & watchdog tests: span-hook sampling math (unit level), the
 // /proc/profile control plane and folded dump, off-CPU attribution via the
 // sched sleep/wake hooks, per-task accounting in /proc/schedstat, unwinder
-// edge cases (mid-syscall, freshly-forked, idle), raw histogram bucket
-// export, the prof2flame.py converter, and the hung-task watchdog's
+// edge cases (mid-syscall, freshly-forked, idle), agreement between the two
+// sample sinks (kProfSample trace events and the folded table), raw
+// histogram bucket export, the prof2flame.py converter, and the hung-task watchdog's
 // exactly-one-bark contract under a wedged core.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,12 +42,13 @@ TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
   // A 10 ms idle span crosses ten 1 ms boundaries: one capture, weight 10.
   EXPECT_EQ(prof.OnSpan(0, nullptr, 0, Ms(10)), 1u);
   EXPECT_EQ(prof.samples(), 1u);
-  std::vector<ProfSample> samples = prof.DumpSamples();
+  // The raw sample is a kProfSample trace event: b = weight.
+  std::vector<TraceRecord> samples = ring.DumpEvent(TraceEvent::kProfSample);
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].weight, 10u);
+  EXPECT_EQ(samples[0].b, 10u);
   EXPECT_EQ(samples[0].pid, 0);
-  ASSERT_EQ(samples[0].nframes, 1u);
-  EXPECT_STREQ(samples[0].frames[0], "<idle>");
+  EXPECT_EQ(samples[0].core, 0u);
+  EXPECT_NE(prof.ExportText().find("oncpu;idle;<idle> 10\n"), std::string::npos);
 
   // A span that crosses no boundary takes no sample.
   EXPECT_EQ(prof.OnSpan(0, nullptr, Ms(10), Ms(10) + Us(100)), 0u);
@@ -86,7 +89,7 @@ TEST(ProfilerUnitTest, ResetClearsSamplesAndFolds) {
   EXPECT_GT(prof.samples(), 0u);
   prof.Reset();
   EXPECT_EQ(prof.samples(), 0u);
-  EXPECT_TRUE(prof.DumpSamples().empty());
+  EXPECT_NE(prof.ExportText().find(" samples 0 "), std::string::npos);
   EXPECT_EQ(prof.ExportText().find("oncpu;"), std::string::npos);
   // Still running after a reset; sampling resumes.
   EXPECT_TRUE(prof.running());
@@ -110,6 +113,41 @@ std::string RunAndCapture(System& sys, const std::string& prog,
   const std::size_t before = sys.SerialOutput().size();
   EXPECT_EQ(sys.RunProgram(prog, args), 0) << prog;
   return sys.SerialOutput().substr(before);
+}
+
+// One folded /proc/profile line, "mode;task;frame;...;frame weight", split.
+struct FoldedLine {
+  std::string mode;
+  std::string task;
+  std::vector<std::string> frames;
+  std::uint64_t weight = 0;
+};
+
+std::vector<FoldedLine> ParseFolded(const std::string& text) {
+  std::vector<FoldedLine> out;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    const std::size_t sp = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || sp == std::string::npos) {
+      continue;
+    }
+    std::vector<std::string> parts;
+    std::istringstream stack(line.substr(0, sp));
+    for (std::string part; std::getline(stack, part, ';');) {
+      parts.push_back(part);
+    }
+    if (parts.size() < 2) {
+      continue;
+    }
+    FoldedLine f;
+    f.mode = parts[0];
+    f.task = parts[1];
+    f.frames.assign(parts.begin() + 2, parts.end());
+    f.weight = std::stoull(line.substr(sp + 1));
+    out.push_back(std::move(f));
+  }
+  return out;
 }
 
 bool HavePython3() { return std::system("python3 --version > /dev/null 2>&1") == 0; }
@@ -249,7 +287,7 @@ TEST(ProfilerEdgeTest, MidSyscallFreshForkAndIdleSamplesAreValid) {
   opt.config_hook = [](KernelConfig& cfg) {
     cfg.prof_enabled = true;
     cfg.prof_hz = 5000;  // aggressive: boundaries land mid-syscall for sure
-    cfg.prof_max_frames = 4;  // force truncation; truncated must stay valid
+    cfg.prof_max_frames = 2;  // force truncation (stacks here run 3 deep)
   };
   System sys(opt);
   EXPECT_EQ(RunInOs(sys, "edge_mix", [](AppEnv& env) -> int {
@@ -269,25 +307,25 @@ TEST(ProfilerEdgeTest, MidSyscallFreshForkAndIdleSamplesAreValid) {
               return 0;
             }),
             0);
-  const std::vector<ProfSample> samples = sys.kernel().profiler().DumpSamples();
-  ASSERT_FALSE(samples.empty());
+  const std::vector<FoldedLine> folds = ParseFolded(sys.kernel().profiler().ExportText());
+  ASSERT_FALSE(folds.empty());
   bool saw_idle = false, saw_task = false, saw_syscall_frame = false;
-  for (const ProfSample& s : samples) {
-    // Truncated-but-valid: within the configured cap, every frame non-null.
-    ASSERT_LE(s.nframes, 4u);
-    for (unsigned i = 0; i < s.nframes; ++i) {
-      ASSERT_NE(s.frames[i], nullptr);
-      ASSERT_NE(s.frames[i][0], '\0');
+  for (const FoldedLine& f : folds) {
+    // Truncated-but-valid: within the configured cap, every frame non-empty.
+    ASSERT_LE(f.frames.size(), 2u) << f.task;
+    for (const std::string& frame : f.frames) {
+      ASSERT_FALSE(frame.empty()) << f.task;
     }
-    if (s.pid == 0) {
+    if (f.task == "idle") {
       saw_idle = true;
-      EXPECT_STREQ(s.frames[0], "<idle>");
+      ASSERT_EQ(f.frames.size(), 1u);
+      EXPECT_EQ(f.frames[0], "<idle>");
     } else {
       saw_task = true;
       // Task samples always symbolize at least to the trampoline root.
-      EXPECT_GE(s.nframes, 1u);
-      for (unsigned i = 0; i < s.nframes; ++i) {
-        if (std::string(s.frames[i]) == "sleep") {
+      EXPECT_GE(f.frames.size(), 1u) << f.task;
+      for (const std::string& frame : f.frames) {
+        if (frame == "sleep") {
           saw_syscall_frame = true;  // sampled mid-syscall
         }
       }
@@ -296,6 +334,43 @@ TEST(ProfilerEdgeTest, MidSyscallFreshForkAndIdleSamplesAreValid) {
   EXPECT_TRUE(saw_idle);
   EXPECT_TRUE(saw_task);
   EXPECT_TRUE(saw_syscall_frame);
+}
+
+// --- The two sample sinks agree -------------------------------------------
+
+TEST(ProfilerBootTest, TraceSampleWeightsSumToFoldedWeights) {
+  SystemOptions opt = OptionsForStage(Stage::kProto5);
+  opt.config_hook = [](KernelConfig& cfg) {
+    cfg.prof_enabled = true;
+    cfg.prof_hz = 2000;
+  };
+  System sys(opt);
+  EXPECT_EQ(RunInOs(sys, "prof_agree", [](AppEnv& env) -> int {
+              for (int i = 0; i < 10; ++i) {
+                UBurn(env, 300000.0);
+                usleep_ms(env, 2);  // off-CPU samples too
+              }
+              return 0;
+            }),
+            0);
+  // Stop first, so no sample lands between the dump and the trace read.
+  EXPECT_EQ(sys.RunProgram("prof", {"stop"}), 0);
+  const std::string dump = RunAndCapture(sys, "cat", {"/proc/profile"});
+  std::uint64_t folded = 0;
+  for (const FoldedLine& f : ParseFolded(dump)) {
+    folded += f.weight;
+  }
+  const TraceRing& trace = sys.kernel().trace();
+  ASSERT_EQ(trace.total_dropped(), 0u) << "ring wrapped: samples lost from the trace";
+  std::uint64_t traced = 0;
+  std::uint64_t events = 0;
+  for (const TraceRecord& r : trace.DumpEvent(TraceEvent::kProfSample)) {
+    traced += r.b;
+    ++events;
+  }
+  EXPECT_GT(events, 0u);
+  EXPECT_EQ(events, sys.kernel().profiler().samples());
+  EXPECT_EQ(traced, folded) << dump;
 }
 
 // --- Raw histogram bucket export (satellite) --------------------------------
@@ -353,8 +428,7 @@ TEST(ProfilerToolTest, Prof2FlameProducesCollapsedStacks) {
   const std::filesystem::path tmp = ::testing::TempDir();
   const std::filesystem::path in = tmp / "vos_prof_folded.txt";
   const std::filesystem::path out = tmp / "vos_prof_flame.txt";
-  std::ofstream(in) << "# prof running 0 hz 100 samples 7 offcpu 1 dropped 0 "
-                       "symbolized_pct 100.0\n"
+  std::ofstream(in) << "# prof running 0 hz 100 samples 7 offcpu 1 symbolized_pct 100.0\n"
                        "oncpu;sh;user_main;read 4\n"
                        "oncpu;sh;user_main;read 2\n"
                        "oncpu;idle;<idle> 1\n"
