@@ -79,7 +79,7 @@ void BlockRequestQueue::Submit(BlockRequest* req) {
 
 Cycles BlockRequestQueue::ServiceOne(BlockRequest* r) {
   Cycles spent = 0;
-  Cycles backoff = policy_.backoff_base;
+  Cycles backoff = kBlkRetryBackoff;
   for (;;) {
     BlockResult res = r->op == BlockOp::kRead ? dev_->Read(r->lba, r->count, r->buf)
                                               : dev_->Write(r->lba, r->count, r->buf);
@@ -93,13 +93,13 @@ Cycles BlockRequestQueue::ServiceOne(BlockRequest* r) {
       ++errors_;
       break;
     }
-    if (spent >= policy_.timeout_budget) {
+    if (spent >= kBlkTimeoutBudget) {
       r->status = BlockStatus::kTimeout;
       ++errors_;
       ++timeouts_;
       break;
     }
-    if (r->retries >= policy_.max_retries) {
+    if (r->retries >= kBlkMaxRetries) {
       r->status = res.status;
       ++errors_;
       break;
@@ -107,7 +107,7 @@ Cycles BlockRequestQueue::ServiceOne(BlockRequest* r) {
     ++r->retries;
     ++retries_;
     spent += backoff;
-    backoff = std::min(backoff * 2, policy_.backoff_cap);
+    backoff = std::min(backoff * 2, kBlkRetryBackoffCap);
   }
   r->service_time = spent;
   r->done = true;

@@ -122,12 +122,10 @@ enum class BlockOp : std::uint8_t { kRead, kWrite };
 // polling driver really does spin through it); media errors are final. A
 // request whose accumulated service time (attempts + backoff) exceeds the
 // budget fails with kTimeout even if retries remain.
-struct BlockRetryPolicy {
-  std::uint32_t max_retries = 4;   // attempts after the first, per request
-  Cycles backoff_base = Us(50);    // first backoff; doubles per retry
-  Cycles backoff_cap = Ms(5);
-  Cycles timeout_budget = Ms(50);  // per-request service-time ceiling
-};
+constexpr std::uint32_t kBlkMaxRetries = 4;  // attempts after the first, per request
+constexpr Cycles kBlkRetryBackoff = Us(50);  // first backoff; doubles per retry
+constexpr Cycles kBlkRetryBackoffCap = Ms(5);
+constexpr Cycles kBlkTimeoutBudget = Ms(50);  // per-request service-time ceiling
 
 // One block I/O request: a contiguous [lba, lba+count) transfer with
 // submit/complete semantics. `buf` points at count*kBlockSize bytes — the
@@ -154,8 +152,7 @@ struct BlockRequest {
 // request that covers it.
 class BlockRequestQueue {
  public:
-  explicit BlockRequestQueue(BlockDevice* dev, BlockRetryPolicy policy = {})
-      : dev_(dev), policy_(policy) {}
+  explicit BlockRequestQueue(BlockDevice* dev) : dev_(dev) {}
 
   // Enqueues `req` (caller keeps ownership; must stay alive until done).
   void Submit(BlockRequest* req);
@@ -177,7 +174,6 @@ class BlockRequestQueue {
   // their own per-command overhead.
   std::uint64_t merged_requests() const { return merged_; }
   std::uint32_t queue_depth_high_water() const { return depth_hw_; }
-  const BlockRetryPolicy& policy() const { return policy_; }
   // Retries issued (attempts beyond each request's first).
   std::uint64_t io_retries() const { return retries_; }
   // Requests that ultimately failed (all causes, timeouts included).
@@ -191,7 +187,6 @@ class BlockRequestQueue {
   Cycles ServiceOne(BlockRequest* r);
 
   BlockDevice* dev_;
-  BlockRetryPolicy policy_;
   std::vector<BlockRequest*> pending_;
   std::uint64_t merged_ = 0;
   std::uint32_t depth_hw_ = 0;

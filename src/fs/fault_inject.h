@@ -88,13 +88,16 @@ class FaultInjector {
   FaultLbaRange* FindRange(int dev, std::uint64_t lba, std::uint32_t count);
 
   SpinLock lock_{"faultinject"};
+  // Boot-time seed and spike multiplier; Command() changes both at runtime.
+  static constexpr std::uint64_t kSeed = 1;
+  static constexpr double kLatencyMult = 20.0;  // spike = mult × Us(100)
+
   bool enabled_;
-  Rng rng_;
-  double transient_rate_;
-  double timeout_rate_;
-  double latency_rate_;
-  double latency_mult_;
-  Cycles timeout_cost_;  // a stalled command burns the whole budget
+  Rng rng_{kSeed};
+  double transient_rate_ = 0.0;  // per-transfer P(transient error)
+  double timeout_rate_;          // per-transfer P(command stall)
+  double latency_rate_ = 0.0;    // per-transfer P(latency spike)
+  double latency_mult_ = kLatencyMult;
   std::vector<FaultLbaRange> ranges_;
   bool cut_armed_ = false;
   bool cut_dead_ = false;

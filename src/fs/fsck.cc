@@ -243,6 +243,8 @@ namespace {
 // One repair pass over the whole filesystem. Returns the number of fixes
 // applied; a pass with zero fixes means the repair has converged.
 struct Repairer {
+  Repairer(Xv6Fs& f, Cycles* b) : fs(f), burn(b) {}
+
   Xv6Fs& fs;
   Cycles* burn;
   std::uint32_t fixes = 0;

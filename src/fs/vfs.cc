@@ -252,6 +252,7 @@ std::int64_t Vfs::Read(Task* t, File& f, std::uint8_t* dst, std::uint32_t n, Cyc
       f.off += take;
       return take;
     }
+    case FileKind::kSocket:  // the socket syscalls serve these fds
     case FileKind::kNone:
       break;
   }
@@ -309,6 +310,7 @@ std::int64_t Vfs::Write(Task* t, File& f, const std::uint8_t* src, std::uint32_t
       std::int64_t r = it->second(std::string(reinterpret_cast<const char*>(src), n));
       return r < 0 ? r : n;
     }
+    case FileKind::kSocket:  // the socket syscalls serve these fds
     case FileKind::kNone:
       break;
   }
@@ -513,6 +515,7 @@ std::int64_t Vfs::Fsync(File& f, Cycles* burn) {
     case FileKind::kPipe:
     case FileKind::kProc:
       return 0;  // nothing cached at the block layer
+    case FileKind::kSocket:  // the socket syscalls serve these fds
     case FileKind::kNone:
       break;
   }

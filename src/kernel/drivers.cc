@@ -10,6 +10,11 @@ namespace vos {
 
 // --- FbDriver ---------------------------------------------------------------
 
+namespace {
+constexpr std::uint32_t kFbWidth = 640;
+constexpr std::uint32_t kFbHeight = 480;
+}  // namespace
+
 Cycles FbDriver::Init() {
   // Property message: set physical size, virtual size, depth; allocate; get
   // pitch — the canonical Pi3 framebuffer bring-up sequence.
@@ -29,8 +34,8 @@ Cycles FbDriver::Init() {
       msg.push_back(0);
     }
   };
-  tag(kTagSetPhysicalSize, {cfg_.fb_width, cfg_.fb_height}, 2);
-  tag(kTagSetVirtualSize, {cfg_.fb_width, cfg_.fb_height}, 2);
+  tag(kTagSetPhysicalSize, {kFbWidth, kFbHeight}, 2);
+  tag(kTagSetVirtualSize, {kFbWidth, kFbHeight}, 2);
   tag(kTagSetDepth, {32}, 1);
   tag(kTagAllocateBuffer, {16, 0}, 2);
   tag(kTagGetPitch, {}, 1);

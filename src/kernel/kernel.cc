@@ -19,6 +19,10 @@ thread_local Task* g_current_task = nullptr;
 // text/data, the (embedded) ramdisk dump, and boot allocations; the page
 // allocator manages the rest.
 constexpr PhysAddr kKernelReservedEnd = MiB(8);
+// bflush cadence: the thread wakes every kFlushIntervalMs and writes back
+// buffers dirty for at least kDirtyAgeMs (only with opt_writeback_cache).
+constexpr std::uint64_t kFlushIntervalMs = 50;
+constexpr std::uint64_t kDirtyAgeMs = 30;
 }  // namespace
 
 const char* SysName(Sys num) {
@@ -73,10 +77,10 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
     : board_(board),
       cfg_(cfg),
       lockdep_session_(cfg.lockdep_enabled),
-      racedet_session_(cfg.racedet_enabled && cfg.lockdep_enabled, cfg.racedet_cells),
+      racedet_session_(cfg.lockdep_enabled),
       machine_(board, this, cfg.EffectiveCores()),
       klog_(board.uart()),
-      trace_(cfg.trace_enabled, cfg.trace_ring_capacity),
+      trace_(cfg.trace_ring_capacity),
       sched_(cfg_),
       profiler_(cfg_, &trace_) {
   VOS_CHECK_MSG(cfg_.EffectiveCores() <= board.config().cores,
@@ -239,7 +243,7 @@ Kernel::BootReport Kernel::Boot() {
   metrics_.Gauge("pmm.merges", [this] { return pmm_->stats().merges; });
   metrics_.Gauge("pmm.oom_events", [this] { return pmm_->stats().oom_events; });
   if (cfg_.HasKmalloc()) {
-    kmalloc_ = std::make_unique<Kmalloc>(*pmm_, cfg_.slab_percore_cache_objs);
+    kmalloc_ = std::make_unique<Kmalloc>(*pmm_);
     kmalloc_->SetCoreFn([this] {
       Task* cur = CurrentTask();
       return cur != nullptr ? cur->core : 0u;
@@ -261,7 +265,7 @@ Kernel::BootReport Kernel::Boot() {
   }
   vtimers_ = std::make_unique<VirtualTimers>(board_.sys_timer());
   sems_ = std::make_unique<SemTable>(sched_);
-  ipcs_ = std::make_unique<IpcTable>(sched_, cfg_);
+  ipcs_ = std::make_unique<IpcTable>(sched_);
   metrics_.Gauge("ipc.waits_slept", [this] { return ipcs_->waits_slept(); });
   metrics_.Gauge("ipc.waits_immediate", [this] { return ipcs_->waits_immediate(); });
   metrics_.Gauge("ipc.wakes", [this] { return ipcs_->wakes(); });
@@ -273,7 +277,7 @@ Kernel::BootReport Kernel::Boot() {
   // Release secondary cores from their firmware parking loop (§4.5) and arm
   // every core's generic timer for the scheduler tick.
   for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-    board_.core_timer(c).Arm(now + r.firmware + core, cfg_.tick_interval);
+    board_.core_timer(c).Arm(now + r.firmware + core, kTickInterval);
     board_.intc().Enable(CoreTimerIrq(c));
     if (c > 0) {
       core += Us(300);  // SEV + stack setup per secondary core
@@ -382,7 +386,7 @@ Kernel::BootReport Kernel::Boot() {
     vfs_->RegisterProc("cpuinfo", [this] {
       std::vector<ProcCpuLine> lines;
       for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-        lines.push_back(ProcCpuLine{c, machine_.Utilization(c), sched_.context_switches()});
+        lines.push_back(ProcCpuLine{c, machine_.Utilization(c), sched_.context_switches(c)});
       }
       return FormatCpuInfo(lines, static_cast<std::uint64_t>(ToMs(Now())));
     });
@@ -606,7 +610,7 @@ Kernel::BootReport Kernel::Boot() {
   for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
     wd_last_tick_[c] = board_.clock().now();
   }
-  if (cfg_.watchdog_enabled && cfg_.HasMultitasking()) {
+  if (cfg_.HasMultitasking()) {
     CreateKernelTask("watchdog", [this] { WatchdogBody(); }, /*core_hint=*/0);
   }
   if (cfg_.prof_enabled) {
@@ -652,8 +656,8 @@ void Kernel::FlusherBody() {
     if (journal_ != nullptr) {
       ChargeCurrent(journal_->Tick(Now()));
     }
-    ChargeCurrent(bcache_->FlushAged(Now(), Ms(cfg_.bcache_dirty_age_ms)));
-    KSleepMs(cfg_.bcache_flush_interval_ms);
+    ChargeCurrent(bcache_->FlushAged(Now(), Ms(kDirtyAgeMs)));
+    KSleepMs(kFlushIntervalMs);
   }
 }
 
@@ -935,7 +939,7 @@ void Kernel::WatchdogBody() {
 
 void Kernel::TickHandler(unsigned core, Cycles now) {
   board_.core_timer(core).ClearIrq();
-  board_.core_timer(core).Arm(now, cfg_.tick_interval);
+  board_.core_timer(core).Arm(now, kTickInterval);
   if (wedged_core_[core]) {
     // Debug wedge: the core runs with IRQs "masked" — the tick is acked and
     // re-armed (the hardware keeps firing) but not serviced, so the watchdog

@@ -36,10 +36,12 @@ class Kmalloc {
   static constexpr int kMinShift = 4;    // 16 B
   static constexpr int kMaxShift = 11;   // 2 KB; beyond that, whole pages
   static constexpr int kNumClasses = kMaxShift - kMinShift + 1;
+  // Magazine capacity per core per class, in objects. Larger = fewer
+  // depot-lock trips, more memory cached per core.
+  static constexpr std::uint32_t kPercoreCacheObjs = 32;
 
-  // `percore_cache_objs` is the magazine capacity per core per class
-  // (KernelConfig::slab_percore_cache_objs).
-  explicit Kmalloc(Pmm& pmm, std::uint32_t percore_cache_objs = 32);
+  // `percore_cache_objs` overrides the magazine capacity (tests shrink it).
+  explicit Kmalloc(Pmm& pmm, std::uint32_t percore_cache_objs = kPercoreCacheObjs);
 
   // Returns a physical address of at least `size` bytes, or 0 on exhaustion.
   PhysAddr Alloc(std::uint64_t size);

@@ -52,6 +52,10 @@ constexpr std::size_t kEthHdrLen = 14;
 constexpr std::size_t kIpHdrLen = 20;
 constexpr std::size_t kTcpHdrLen = 20;
 constexpr std::size_t kUdpHdrLen = 8;
+constexpr std::uint32_t kNetMtu = 1500;  // ethernet payload bytes per frame
+// Per-socket buffer bytes.
+constexpr std::uint32_t kNetSndbuf = 32768;
+constexpr std::uint32_t kNetRcvbuf = 32768;
 
 // TCP header flags.
 constexpr std::uint8_t kTcpFin = 0x01;

@@ -11,6 +11,10 @@
 
 namespace vos {
 
+namespace {
+constexpr std::uint32_t kSomaxconn = 512;  // listen backlog hard cap
+}  // namespace
+
 std::shared_ptr<Socket> NetStack::CreateSocket(Socket::Type type) {
   SpinGuard g(lock_);
   ++RD_WRITE(sockets_live_);
@@ -39,11 +43,11 @@ std::int64_t NetStack::Listen(Socket& s, std::uint32_t backlog) {
     return kErrInval;
   }
   if (s.listening) {
-    s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), cfg_.net_somaxconn);
+    s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), kSomaxconn);
     return 0;
   }
   s.listening = true;
-  s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), cfg_.net_somaxconn);
+  s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), kSomaxconn);
   RD_WRITE(listeners_)[s.local_port] = &s;
   return 0;
 }
@@ -165,7 +169,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
     if (!s.udp_connected) {
       return kErrInval;
     }
-    std::size_t mtu_payload = cfg_.net_mtu - kIpHdrLen - kUdpHdrLen;
+    std::size_t mtu_payload = kNetMtu - kIpHdrLen - kUdpHdrLen;
     std::size_t take = std::min(n, mtu_payload);
     std::vector<std::uint8_t> dgram(kUdpHdrLen + take);
     Put16(dgram.data() + 0, s.local_port);
@@ -206,7 +210,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
       sched_.SleepOn(cur, &t->rcv_chan, lock_);
       continue;
     }
-    if (t->sndq.size() >= cfg_.net_sndbuf) {
+    if (t->sndq.size() >= kNetSndbuf) {
       if (cur->killed) {
         return done > 0 ? static_cast<std::int64_t>(done) : kErrIntr;
       }
@@ -216,7 +220,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
       sched_.SleepOn(cur, &t->snd_chan, lock_);
       continue;
     }
-    std::size_t room = cfg_.net_sndbuf - t->sndq.size();
+    std::size_t room = kNetSndbuf - t->sndq.size();
     std::size_t take = std::min(room, n - done);
     t->sndq.insert(t->sndq.end(), buf + done, buf + done + take);
     done += take;
@@ -292,7 +296,7 @@ std::int64_t NetStack::Shutdown(Task* cur, Socket& s, int how, Cycles* burn) {
     return 0;
   }
   if (s.type == Socket::Type::kUdp || s.tcb == nullptr) {
-    return s.type == Socket::Type::kUdp ? 0 : kErrInval;
+    return s.type == Socket::Type::kUdp ? std::int64_t{0} : kErrInval;
   }
   std::shared_ptr<Tcb> t = s.tcb;
   if (how == 0 || how == 2) {

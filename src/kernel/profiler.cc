@@ -160,7 +160,7 @@ unsigned Profiler::OnSpan(unsigned core, Task* task, Cycles t0, Cycles t1) {
 }
 
 void Profiler::OnSleep(Task* t) {
-  if (!running_ || !cfg_.prof_offcpu) {
+  if (!running_) {
     return;
   }
   t->sleep_stack = t->call_stack;
@@ -170,7 +170,7 @@ void Profiler::OnSleep(Task* t) {
 }
 
 void Profiler::OnWake(Task* t, Cycles blocked) {
-  if (!running_ || !cfg_.prof_offcpu) {
+  if (!running_) {
     t->sleep_stack.clear();
     return;
   }

@@ -671,12 +671,13 @@ std::int64_t Kernel::SysYield() {
 }
 
 // --- Socket syscalls (Prototype 5 networking). Every entry point is gated on
-// HasNet(): pre-proto5 stages and nic-less boards report kErrNoSys, exactly
-// like the other staged feature families.
+// net_, which boot builds only when HasNet() holds and the board has a NIC:
+// pre-proto5 stages and nic-less boards report kErrNoSys, exactly like the
+// other staged feature families.
 
 std::int64_t Kernel::SysSocket(int type, std::uint32_t flags) {
   Task* cur = SyscallEnter(Sys::kSocket);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kSocket, kErrNoSys);
   }
   if (type != 0 && type != 1) {
@@ -708,7 +709,7 @@ FilePtr Kernel::GetSockFd(Task* cur, int fd, std::int64_t* err) {
 
 std::int64_t Kernel::SysBind(int fd, std::uint16_t port) {
   Task* cur = SyscallEnter(Sys::kBind);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kBind, kErrNoSys);
   }
   std::int64_t err = 0;
@@ -722,7 +723,7 @@ std::int64_t Kernel::SysBind(int fd, std::uint16_t port) {
 
 std::int64_t Kernel::SysListen(int fd, std::uint32_t backlog) {
   Task* cur = SyscallEnter(Sys::kListen);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kListen, kErrNoSys);
   }
   std::int64_t err = 0;
@@ -737,7 +738,7 @@ std::int64_t Kernel::SysListen(int fd, std::uint32_t backlog) {
 std::int64_t Kernel::SysAccept(int fd, std::uint32_t* peer_ip, std::uint16_t* peer_port,
                                std::uint32_t flags) {
   Task* cur = SyscallEnter(Sys::kAccept);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kAccept, kErrNoSys);
   }
   std::int64_t err = 0;
@@ -768,7 +769,7 @@ std::int64_t Kernel::SysAccept(int fd, std::uint32_t* peer_ip, std::uint16_t* pe
 
 std::int64_t Kernel::SysConnect(int fd, std::uint32_t ip, std::uint16_t port) {
   Task* cur = SyscallEnter(Sys::kConnect);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kConnect, kErrNoSys);
   }
   std::int64_t err = 0;
@@ -784,7 +785,7 @@ std::int64_t Kernel::SysConnect(int fd, std::uint32_t ip, std::uint16_t port) {
 
 std::int64_t Kernel::SysSend(int fd, const void* buf, std::uint32_t n) {
   Task* cur = SyscallEnter(Sys::kSend);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kSend, kErrNoSys);
   }
   std::int64_t err = 0;
@@ -801,7 +802,7 @@ std::int64_t Kernel::SysSend(int fd, const void* buf, std::uint32_t n) {
 
 std::int64_t Kernel::SysRecv(int fd, void* buf, std::uint32_t n) {
   Task* cur = SyscallEnter(Sys::kRecv);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kRecv, kErrNoSys);
   }
   std::int64_t err = 0;
@@ -817,7 +818,7 @@ std::int64_t Kernel::SysRecv(int fd, void* buf, std::uint32_t n) {
 
 std::int64_t Kernel::SysShutdown(int fd, int how) {
   Task* cur = SyscallEnter(Sys::kShutdown);
-  if (!cfg_.HasNet() || net_ == nullptr) {
+  if (net_ == nullptr) {
     return SyscallExit(Sys::kShutdown, kErrNoSys);
   }
   std::int64_t err = 0;

@@ -7,8 +7,8 @@
 
 namespace vos {
 
-TraceRing::TraceRing(bool enabled, std::size_t per_core_capacity)
-    : enabled_(enabled), cap_(per_core_capacity == 0 ? 1 : per_core_capacity) {
+TraceRing::TraceRing(std::size_t per_core_capacity)
+    : cap_(per_core_capacity == 0 ? 1 : per_core_capacity) {
   for (auto& r : rings_) {
     r.slots.resize(cap_);
   }
@@ -16,7 +16,7 @@ TraceRing::TraceRing(bool enabled, std::size_t per_core_capacity)
 
 void TraceRing::Emit(Cycles ts, unsigned core, TraceEvent ev, std::int32_t pid, std::uint64_t a,
                      std::uint64_t b) {
-  if (!enabled_ || core >= kMaxCores) {
+  if (core >= kMaxCores) {
     return;
   }
   CoreRing& r = rings_[core];

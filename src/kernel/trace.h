@@ -63,7 +63,7 @@ struct TraceRecord {
 
 class TraceRing {
  public:
-  explicit TraceRing(bool enabled, std::size_t per_core_capacity = 16384);
+  explicit TraceRing(std::size_t per_core_capacity = 16384);
 
   // Lock-free hot path: one producer per core (token-serialized in the
   // simulator). Safe to call from IRQ context and inside any spinlock.
@@ -77,7 +77,6 @@ class TraceRing {
   std::vector<TraceRecord> DumpEvent(TraceEvent ev) const;
 
   void Clear();
-  bool enabled() const { return enabled_; }
   std::size_t capacity() const { return cap_; }
   std::uint64_t total_emitted() const;
   // Records overwritten by ring wrap since the last Clear().
@@ -112,7 +111,6 @@ class TraceRing {
     std::vector<TraceRecord> slots;
   };
 
-  bool enabled_;
   std::size_t cap_;
   // Dump() is logically const; retry accounting is observability metadata.
   mutable std::atomic<std::uint64_t> dump_retries_{0};

@@ -1,7 +1,7 @@
 #include "src/ulib/giflite.h"
 
 #include <cstring>
-#include <map>
+#include <unordered_map>
 
 namespace vos {
 
@@ -127,30 +127,35 @@ std::vector<std::uint8_t> GifLzwEncode(const std::uint8_t* indices, std::size_t 
   const int clear_code = 1 << min_code_size;
   const int eoi_code = clear_code + 1;
   LzwBitWriter bw;
-  std::map<std::vector<std::uint8_t>, int> table;
+  // The dictionary maps (code of a string, next index) to the code of the
+  // extended string; single indices are their own codes.
+  std::unordered_map<std::uint32_t, int> table;
+  auto key = [](int prefix, std::uint8_t k) {
+    return (static_cast<std::uint32_t>(prefix) << 8) | k;
+  };
   int next_code = eoi_code + 1;
   int code_width = min_code_size + 1;
   auto reset = [&] {
     table.clear();
-    for (int i = 0; i < clear_code; ++i) {
-      table[{static_cast<std::uint8_t>(i)}] = i;
-    }
     next_code = eoi_code + 1;
     code_width = min_code_size + 1;
   };
-  reset();
   bw.Bits(clear_code, code_width);
-  std::vector<std::uint8_t> w;
+  int w = -1;  // code of the pending string; -1 while it is empty
   for (std::size_t i = 0; i < len; ++i) {
-    std::vector<std::uint8_t> wk = w;
-    wk.push_back(indices[i]);
-    if (table.count(wk)) {
-      w = std::move(wk);
+    const std::uint8_t k = indices[i];
+    if (w < 0) {
+      w = k;
       continue;
     }
-    bw.Bits(table.at(w), code_width);
+    auto it = table.find(key(w, k));
+    if (it != table.end()) {
+      w = it->second;
+      continue;
+    }
+    bw.Bits(w, code_width);
     if (next_code < 4096) {
-      table[wk] = next_code++;
+      table[key(w, k)] = next_code++;
       if (next_code == (1 << code_width) && code_width < 12) {
         ++code_width;
       }
@@ -158,10 +163,10 @@ std::vector<std::uint8_t> GifLzwEncode(const std::uint8_t* indices, std::size_t 
       bw.Bits(clear_code, code_width);
       reset();
     }
-    w = {indices[i]};
+    w = k;
   }
-  if (!w.empty()) {
-    bw.Bits(table.at(w), code_width);
+  if (w >= 0) {
+    bw.Bits(w, code_width);
   }
   bw.Bits(eoi_code, code_width);
   return bw.Finish();

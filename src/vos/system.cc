@@ -70,18 +70,13 @@ System::System(SystemOptions opt) : opt_(std::move(opt)) {
   BoardConfig bc;
   bc.cores = opt_.cores;
   bc.dram_size = opt_.dram_size;
-  bc.sd_capacity = opt_.sd_capacity;
   bc.real_hardware = opt_.real_hardware;
   bc.usb_keyboard_present = opt_.usb_keyboard;
   bc.usb_storage_present = opt_.usb_storage;
-  bc.usb_storage_capacity = opt_.usb_storage_capacity;
-  bc.game_hat_present = opt_.game_hat;
   board_ = std::make_unique<Board>(bc);
 
   KernelConfig kc = MakeConfig(opt_.stage, opt_.platform, opt_.os);
   kc.cores = opt_.cores;
-  kc.fb_width = opt_.fb_width;
-  kc.fb_height = opt_.fb_height;
   if (opt_.config_hook) {
     opt_.config_hook(kc);
   }

@@ -23,12 +23,8 @@ struct SystemOptions {
   OsProfile os = OsProfile::kOurs;
   unsigned cores = 4;
   std::uint64_t dram_size = MiB(64);
-  std::uint64_t sd_capacity = MiB(32);
   bool real_hardware = true;       // junk DRAM, as on silicon
   bool usb_keyboard = true;
-  bool game_hat = true;
-  std::uint32_t fb_width = 640;
-  std::uint32_t fb_height = 480;
   // Generate media assets (VOG track, VMV clips, slides) onto the FAT
   // partition. Off by default: encoding costs host time.
   bool with_media_assets = false;
@@ -40,7 +36,6 @@ struct SystemOptions {
   // USB thumb drive (the §4.4 future-work mass-storage class): when present,
   // its superfloppy FAT volume mounts at /u.
   bool usb_storage = false;
-  std::uint64_t usb_storage_capacity = MiB(16);
   FsSpec usb_stick;
   // Apply a tweak to the config between construction and boot.
   std::function<void(KernelConfig&)> config_hook;

@@ -348,7 +348,7 @@ TEST_F(BcacheFaultTest, FlushFailureLatchesErrorUntilTaken) {
 
 TEST_F(BcacheFaultTest, TransientErrorsRetryUntilTheWriteLands) {
   DirtyBlock(10, 0x5a);
-  // Two bounces, fewer than blk_max_retries: the retry loop must absorb them.
+  // Two bounces, fewer than kBlkMaxRetries: the retry loop must absorb them.
   ASSERT_EQ(fi_.Command("transient 0 10 1 2\n"), 0);
   bc_.FlushAll();
   EXPECT_EQ(RawByte(10), 0x5a) << "retries did not recover the transient fault";

@@ -5,6 +5,7 @@
 // /proc/schedstat, /dev/trace, and the `trace` coreutil end to end.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -76,7 +77,7 @@ TEST(TraceRingTest, EmitTakesNoLock) {
   Lockdep& dep = Lockdep::Instance();
   dep.Reset();
   dep.SetEnabled(true);
-  TraceRing ring(/*enabled=*/true, /*per_core_capacity=*/1024);
+  TraceRing ring(/*per_core_capacity=*/1024);
   auto total_acquisitions = [&dep] {
     std::uint64_t t = 0;
     for (const LockClassInfo& c : dep.Classes()) {
@@ -94,7 +95,7 @@ TEST(TraceRingTest, EmitTakesNoLock) {
 }
 
 TEST(TraceRingTest, WrapOverwritesOldestAndCountsDrops) {
-  TraceRing ring(true, 8);
+  TraceRing ring(8);
   for (int i = 0; i < 20; ++i) {
     ring.Emit(Cycles(i), /*core=*/0, TraceEvent::kUserMark, 1, std::uint64_t(i), 0);
   }
@@ -111,7 +112,7 @@ TEST(TraceRingTest, WrapOverwritesOldestAndCountsDrops) {
 }
 
 TEST(TraceRingTest, DumpMergesCoresInTimeOrder) {
-  TraceRing ring(true, 16);
+  TraceRing ring(16);
   ring.Emit(Cycles(30), 1, TraceEvent::kWakeup, 2);
   ring.Emit(Cycles(10), 0, TraceEvent::kSleep, 1);
   ring.Emit(Cycles(20), 2, TraceEvent::kCtxSwitch, 3);
@@ -372,6 +373,44 @@ TEST(ObservabilityBootTest, ProcSchedstatReportsPerCoreLines) {
   // Per-task accounting rides along after the core lines.
   EXPECT_NE(out.find("pid "), std::string::npos) << out;
   EXPECT_NE(out.find("cpu_ms "), std::string::npos) << out;
+
+  // /proc/cpuinfo reports the same per-core switch counts. One task reads
+  // both files back to back (procfs snapshots at open) so no switch lands
+  // between the two snapshots.
+  const std::size_t before = sys.SerialOutput().size();
+  ASSERT_EQ(RunInOs(sys, "cpu_coherence", [](AppEnv& env) -> int {
+              std::vector<std::uint8_t> cpu;
+              std::vector<std::uint8_t> sched;
+              if (uread_file(env, "/proc/cpuinfo", &cpu) < 0 ||
+                  uread_file(env, "/proc/schedstat", &sched) < 0) {
+                return 1;
+              }
+              uputs(env, std::string(cpu.begin(), cpu.end()) + "--\n" +
+                             std::string(sched.begin(), sched.end()));
+              return 0;
+            }),
+            0);
+  const std::string both = sys.SerialOutput().substr(before);
+  const std::size_t sep = both.find("--\n");
+  ASSERT_NE(sep, std::string::npos) << both;
+  std::vector<ProcSchedLine> sched_cores;
+  ASSERT_TRUE(ParseSchedStat(both.substr(sep + 3), &sched_cores)) << both;
+  std::istringstream cpu_lines(both.substr(0, sep));
+  std::string line;
+  unsigned seen = 0;
+  while (std::getline(cpu_lines, line)) {
+    unsigned core = 0;
+    double util = 0;
+    unsigned long long switches = 0;
+    if (std::sscanf(line.c_str(), "cpu%u: util %lf%% switches %llu", &core, &util, &switches) !=
+        3) {
+      continue;
+    }
+    ASSERT_LT(core, sched_cores.size()) << line;
+    EXPECT_EQ(switches, sched_cores[core].switches) << line;
+    ++seen;
+  }
+  EXPECT_EQ(seen, sys.options().cores) << both;
 }
 
 TEST(ObservabilityBootTest, DevTraceAndTraceCoreutil) {

@@ -34,7 +34,7 @@ namespace {
 TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
   KernelConfig cfg;
   cfg.prof_hz = 1000;  // 1 ms period
-  TraceRing ring(true, 1024);
+  TraceRing ring(1024);
   Profiler prof(cfg, &ring);
   prof.Start(0);
   ASSERT_TRUE(prof.running());
@@ -67,7 +67,7 @@ TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
 
 TEST(ProfilerUnitTest, CommandLanguageMatchesFaultinjectIdiom) {
   KernelConfig cfg;
-  TraceRing ring(true, 64);
+  TraceRing ring(64);
   Profiler prof(cfg, &ring);
   EXPECT_FALSE(prof.running());
   EXPECT_EQ(prof.Command("start\n", 0), 0);
@@ -82,7 +82,7 @@ TEST(ProfilerUnitTest, CommandLanguageMatchesFaultinjectIdiom) {
 TEST(ProfilerUnitTest, ResetClearsSamplesAndFolds) {
   KernelConfig cfg;
   cfg.prof_hz = 1000;
-  TraceRing ring(true, 64);
+  TraceRing ring(64);
   Profiler prof(cfg, &ring);
   prof.Start(0);
   EXPECT_EQ(prof.OnSpan(1, nullptr, 0, Ms(5)), 1u);
