@@ -67,6 +67,44 @@ void BM_Dct8x8RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Dct8x8RoundTrip);
 
+// One 640x480 P-frame: motion search, residual transforms, entropy coding.
+void BM_VmvEncodeFrame640x480(benchmark::State& state) {
+  std::vector<YuvFrame> frames = SynthesizeScene(640, 480, 2);
+  for (auto _ : state) {
+    state.PauseTiming();
+    VmvEncoder enc(640, 480);
+    enc.AddFrame(frames[0]);  // the I-frame the P-frame predicts from
+    state.ResumeTiming();
+    enc.AddFrame(frames[1]);
+    state.PauseTiming();
+    std::vector<std::uint8_t> bits = enc.Finish();
+    benchmark::DoNotOptimize(bits.data());
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_VmvEncodeFrame640x480)->Unit(benchmark::kMillisecond);
+
+// Decoding that P-frame: entropy decode, inverse transforms, motion compensation.
+void BM_VmvDecodeFrame640x480(benchmark::State& state) {
+  std::vector<YuvFrame> frames = SynthesizeScene(640, 480, 2);
+  VmvEncoder enc(640, 480);
+  enc.AddFrame(frames[0]);
+  enc.AddFrame(frames[1]);
+  std::vector<std::uint8_t> bits = enc.Finish();
+  YuvFrame out;
+  for (auto _ : state) {
+    state.PauseTiming();
+    VmvDecoder dec;
+    dec.Open(bits.data(), bits.size());
+    dec.DecodeFrame(&out);  // the I-frame
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(dec.DecodeFrame(&out));
+    benchmark::DoNotOptimize(out.y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_VmvDecodeFrame640x480)->Unit(benchmark::kMillisecond);
+
 void BM_YuvConvertFixed(benchmark::State& state) {
   std::uint32_t w = 320, h = 240;
   std::vector<std::uint8_t> y(w * h, 100), u(w * h / 4, 90), v(w * h / 4, 160);

@@ -4,11 +4,19 @@
 
 namespace vos {
 
+namespace {
+
+constexpr std::uint64_t kSdCapacity = MiB(32);
+constexpr std::uint64_t kUsbStorageCapacity = MiB(16);
+constexpr std::uint64_t kScrambleSeed = 0xb0a7d00d;
+
+}  // namespace
+
 Board::Board(const BoardConfig& config) : config_(config) {
   VOS_CHECK(config.cores >= 1 && config.cores <= kMaxCores);
   mem_ = std::make_unique<PhysMem>(config.dram_size);
   if (config.real_hardware) {
-    mem_->Scramble(config.scramble_seed);
+    mem_->Scramble(kScrambleSeed);
   }
   intc_ = std::make_unique<Intc>(config.cores);
   sys_timer_ = std::make_unique<SysTimer>(events_, *intc_);
@@ -22,19 +30,16 @@ Board::Board(const BoardConfig& config) : config_(config) {
   audio_ = std::make_unique<AudioPwm>();
   dma0_ = std::make_unique<DmaChannel>(events_, *intc_, *mem_, kIrqDma0);
   dma0_->AttachSink(audio_.get());
-  sd_ = std::make_unique<SdCard>(config.sd_capacity, config.sd_timings);
+  sd_ = std::make_unique<SdCard>(kSdCapacity);
   keyboard_ = std::make_unique<UsbKeyboard>();
   usb_ = std::make_unique<UsbHostController>(events_, *intc_);
   if (config.usb_keyboard_present) {
     usb_->AttachKeyboard(keyboard_.get());
   }
   if (config.usb_storage_present) {
-    usb_storage_ = std::make_unique<UsbMassStorage>(config.usb_storage_capacity);
+    usb_storage_ = std::make_unique<UsbMassStorage>(kUsbStorageCapacity);
   }
-  if (config.nic_present) {
-    nic_ = std::make_unique<Nic>(clock_, events_, *intc_, kIrqEth, config.nic_timings,
-                                 config.nic_tx_ring, config.nic_rx_ring);
-  }
+  nic_ = std::make_unique<Nic>(clock_, events_, *intc_, kIrqEth);
   power_ = std::make_unique<PowerMeter>();
 }
 

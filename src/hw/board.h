@@ -25,22 +25,15 @@
 
 namespace vos {
 
+// What varies between boards. Every board also has a 32 MB SD card, the
+// Game HAT (display, buttons, speaker) and an ethernet MAC; see board.cc.
 struct BoardConfig {
   unsigned cores = 4;
   std::uint64_t dram_size = MiB(64);        // simulated DRAM (Pi3 has 1 GB; we
                                             // default smaller to keep tests light)
-  std::uint64_t sd_capacity = MiB(32);      // SD card size
   bool real_hardware = true;                // scramble DRAM like real silicon
   bool usb_keyboard_present = true;
   bool usb_storage_present = false;         // a thumb drive on the second port
-  std::uint64_t usb_storage_capacity = MiB(16);
-  bool game_hat_present = true;             // HAT display/buttons/speaker
-  std::uint64_t scramble_seed = 0xb0a7d00d;
-  SdTimings sd_timings{};
-  bool nic_present = true;                  // ethernet MAC with DMA rings
-  NicTimings nic_timings{};
-  std::size_t nic_tx_ring = 256;
-  std::size_t nic_rx_ring = 256;
 };
 
 class Board {
@@ -65,7 +58,7 @@ class Board {
   UsbHostController& usb() { return *usb_; }
   UsbKeyboard& keyboard() { return *keyboard_; }
   UsbMassStorage* usb_storage() { return usb_storage_.get(); }
-  Nic* nic() { return nic_.get(); }
+  Nic& nic() { return *nic_; }
   PowerMeter& power() { return *power_; }
 
  private:

@@ -521,10 +521,8 @@ Kernel::BootReport Kernel::Boot() {
       board_.intc().Enable(kIrqUsb);
     }
     gpio_buttons_ = std::make_unique<GpioButtonDriver>(board_, *events_);
-    if (board_.config().game_hat_present) {
-      gpio_buttons_->Init();
-      board_.intc().Enable(kIrqGpio);
-    }
+    gpio_buttons_->Init();
+    board_.intc().Enable(kIrqGpio);
     if (cfg_.HasAudio()) {
       fs_time += audio_driver_->Init(44100);
       board_.intc().Enable(kIrqDma0);
@@ -576,9 +574,9 @@ Kernel::BootReport Kernel::Boot() {
   }
 
   // Network stack (proto5): the NIC driver + TCP/IP over the simulated MAC.
-  if (cfg_.HasNet() && board_.nic() != nullptr) {
+  if (cfg_.HasNet()) {
     net_ = std::make_unique<NetStack>(cfg_, sched_, board_.clock(), board_.events(), trace_,
-                                      metrics_, *board_.nic());
+                                      metrics_, board_.nic());
     net_->Init();
     board_.intc().Enable(kIrqEth);
     vfs_->SetSocketCloser([this](const std::shared_ptr<Socket>& s) { net_->CloseSocket(s); });

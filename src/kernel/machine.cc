@@ -47,7 +47,6 @@ void Machine::Run(Cycles until) {
   VirtualClock& clock = board_.clock();
   EventQueue& events = board_.events();
   PowerMeter& power = board_.power();
-  bool hat = board_.config().game_hat_present;
 
   while (!stop_ && clock.now() < until) {
     // Events due exactly now run before anything else.
@@ -132,11 +131,9 @@ void Machine::Run(Cycles until) {
 
     Cycles win = wend - clock.now();
     power.AddActive(PowerComponent::kSocBase, win);
-    if (hat) {
-      power.AddActive(PowerComponent::kHatBase, win);
-      if (board_.fb().allocated()) {
-        power.AddActive(PowerComponent::kHatDisplay, win);
-      }
+    power.AddActive(PowerComponent::kHatBase, win);
+    if (board_.fb().allocated()) {
+      power.AddActive(PowerComponent::kHatDisplay, win);
     }
     if (board_.usb().configured()) {
       power.AddActive(PowerComponent::kUsbActive, win);

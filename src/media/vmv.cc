@@ -1,6 +1,7 @@
 #include "src/media/vmv.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -17,30 +18,31 @@ constexpr std::uint32_t kVmvMagic = 0x31564d56;  // "VMV1"
 
 class BitWriter {
  public:
-  void Bit(int b) {
-    cur_ = static_cast<std::uint8_t>((cur_ << 1) | (b & 1));
-    if (++nbits_ == 8) {
-      out_.push_back(cur_);
-      cur_ = 0;
-      nbits_ = 0;
-    }
-  }
+  // Appends the low `n` bits of `v`, MSB first (1 <= n <= 32).
   void Bits(std::uint32_t v, int n) {
-    for (int i = n - 1; i >= 0; --i) {
-      Bit(static_cast<int>((v >> i) & 1));
+    acc_ = (acc_ << n) | (v & ((std::uint64_t{1} << n) - 1));
+    nbits_ += n;
+    if (nbits_ >= 32) {
+      nbits_ -= 32;
+      auto word = static_cast<std::uint32_t>(acc_ >> nbits_);
+      const std::uint8_t bytes[4] = {
+          static_cast<std::uint8_t>(word >> 24), static_cast<std::uint8_t>(word >> 16),
+          static_cast<std::uint8_t>(word >> 8), static_cast<std::uint8_t>(word)};
+      out_.insert(out_.end(), bytes, bytes + 4);
     }
   }
-  // Unsigned Exp-Golomb.
+  void Bit(int b) { Bits(static_cast<std::uint32_t>(b), 1); }
+  // Unsigned Exp-Golomb: `bits` zeros, then v+1 in bits+1 bits, where
+  // bits = floor(log2(v+1)). For v < 0xffffffff.
   void Ueg(std::uint32_t v) {
     std::uint32_t vp = v + 1;
-    int bits = 0;
-    for (std::uint32_t t = vp; t > 1; t >>= 1) {
-      ++bits;
+    int bits = 31 - std::countl_zero(vp);
+    if (bits < 16) {
+      Bits(vp, 2 * bits + 1);  // vp's own leading zeros are the prefix
+    } else {
+      Bits(0, bits);
+      Bits(vp, bits + 1);
     }
-    for (int i = 0; i < bits; ++i) {
-      Bit(0);
-    }
-    Bits(vp, bits + 1);
   }
   // Signed Exp-Golomb (0, 1, -1, 2, -2, ...).
   void Seg(std::int32_t v) {
@@ -48,53 +50,46 @@ class BitWriter {
     Ueg(m);
   }
   std::vector<std::uint8_t> Finish() {
-    while (nbits_ != 0) {
-      Bit(0);
+    // Zero-pad to a byte boundary, then flush.
+    int pad = (8 - nbits_ % 8) % 8;
+    acc_ <<= pad;
+    nbits_ += pad;
+    while (nbits_ > 0) {
+      nbits_ -= 8;
+      out_.push_back(static_cast<std::uint8_t>(acc_ >> nbits_));
     }
     return std::move(out_);
   }
 
  private:
   std::vector<std::uint8_t> out_;
-  std::uint8_t cur_ = 0;
-  int nbits_ = 0;
+  std::uint64_t acc_ = 0;  // the pending bits are its low nbits_
+  int nbits_ = 0;          // < 32 between calls
 };
 
 class BitReader {
  public:
-  BitReader(const std::uint8_t* d, std::size_t n) : d_(d), n_(n) {}
-  int Bit() {
-    if (pos_ >= n_) {
-      ok_ = false;
-      return 0;
-    }
-    int b = (d_[pos_] >> (7 - nbits_)) & 1;
-    if (++nbits_ == 8) {
-      nbits_ = 0;
-      ++pos_;
-    }
-    return b;
-  }
+  BitReader(const std::uint8_t* d, std::size_t n) : d_(d), nbytes_(n), nbits_(n * 8) {}
+  int Bit() { return static_cast<int>(Bits(1)); }
+  // Reads n (1..32) bits. Reading past the end fails: ok() turns false and
+  // stays false.
   std::uint32_t Bits(int n) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v = (v << 1) | static_cast<std::uint32_t>(Bit());
+    if (static_cast<std::size_t>(n) > nbits_ - pos_) {
+      return Fail();
     }
+    auto v = static_cast<std::uint32_t>(Peek() >> (64 - n));
+    pos_ += static_cast<std::size_t>(n);
     return v;
   }
   std::uint32_t Ueg() {
-    int zeros = 0;
-    while (ok_ && Bit() == 0) {
-      if (++zeros > 31) {
-        ok_ = false;
-        return 0;
-      }
+    // Bits past the end peek as zeros, so a run of more than 31 zeros is
+    // either too long a code or a truncated one; both fail.
+    int zeros = std::countl_zero(Peek());
+    if (zeros > 31) {
+      return Fail();
     }
-    std::uint32_t v = 1;
-    for (int i = 0; i < zeros; ++i) {
-      v = (v << 1) | static_cast<std::uint32_t>(Bit());
-    }
-    return v - 1;
+    pos_ += static_cast<std::size_t>(zeros);
+    return Bits(zeros + 1) - 1;
   }
   std::int32_t Seg() {
     std::uint32_t m = Ueg();
@@ -104,22 +99,67 @@ class BitReader {
   bool ok() const { return ok_; }
 
  private:
+  // The next 64 bits, MSB-aligned; at least 57 of them are stream bits (or
+  // zeros past its end).
+  std::uint64_t Peek() const {
+    std::size_t byte = pos_ / 8;
+    std::uint64_t w = 0;
+    if (byte + 8 <= nbytes_) {
+      for (int i = 0; i < 8; ++i) {
+        w = (w << 8) | d_[byte + std::size_t(i)];
+      }
+    } else {
+      for (int i = 0; i < 8; ++i) {
+        w = (w << 8) | (byte + std::size_t(i) < nbytes_ ? d_[byte + std::size_t(i)] : 0);
+      }
+    }
+    return w << (pos_ % 8);
+  }
+  std::uint32_t Fail() {
+    ok_ = false;
+    pos_ = nbits_;
+    return 0;
+  }
+
   const std::uint8_t* d_;
-  std::size_t n_;
-  std::size_t pos_ = 0;
-  int nbits_ = 0;
+  std::size_t nbytes_;
+  std::size_t nbits_;
+  std::size_t pos_ = 0;  // in bits
   bool ok_ = true;
 };
 
 // --- DCT ---
 
+// Two doubles per SSE2 register. In the transforms each lane is one output's
+// own running sum, so vectorising changes no output's summation order.
+typedef double V2d __attribute__((vector_size(16)));
+typedef std::int32_t V2i __attribute__((vector_size(8)));
+typedef std::int64_t V2l __attribute__((vector_size(16)));
+
+// Rounds each lane half away from zero (std::lround) for |x| < 2^31. x minus
+// its truncation is exact, so the comparisons with 0.5 are too.
+V2i RoundHalfAway2(V2d x) {
+  V2i t = __builtin_convertvector(x, V2i);  // toward zero
+  V2d frac = x - __builtin_convertvector(t, V2d);
+  V2l away = (frac <= -0.5) - (frac >= 0.5);  // comparisons give -1 where true
+  return t + __builtin_convertvector(away, V2i);
+}
+
 struct DctBasis {
-  double c[8][8];
+  double c[8][8];  // c[u][x]: basis function u at sample x
+  V2d row[8][4];   // row[u][i] = {c[u][2i], c[u][2i+1]}
+  V2d col[8][4];   // col[x][i] = {c[2i][x], c[2i+1][x]}
   DctBasis() {
     for (int u = 0; u < 8; ++u) {
       double cu = u == 0 ? std::sqrt(0.125) : 0.5;
       for (int x = 0; x < 8; ++x) {
         c[u][x] = cu * std::cos((2 * x + 1) * u * 3.14159265358979323846 / 16.0);
+      }
+    }
+    for (int a = 0; a < 8; ++a) {
+      for (int i = 0; i < 4; ++i) {
+        row[a][i] = V2d{c[a][2 * i], c[a][2 * i + 1]};
+        col[a][i] = V2d{c[2 * i][a], c[2 * i + 1][a]};
       }
     }
   }
@@ -131,30 +171,68 @@ constexpr int kZigzag[64] = {0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18,
                              35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
                              58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
 
+// Largest |level| a stream may carry. Legal streams stay near 8*255; the
+// bound keeps level*q and every transform sum far inside int32.
+constexpr std::int32_t kMaxLevel = 1 << 15;
+
 int QuantOf(int coef, int q) {
+  int mag = coef < 0 ? -coef : coef;
+  if (mag + q / 2 < q) {
+    return 0;  // the common case, without a divide
+  }
   return coef >= 0 ? (coef + q / 2) / q : -((-coef + q / 2) / q);
 }
 
 std::uint8_t Clamp255(int v) { return static_cast<std::uint8_t>(v < 0 ? 0 : v > 255 ? 255 : v); }
 
-// Extracts/stores 8x8 blocks from a plane with edge clamping.
-void GetBlock(const std::uint8_t* plane, std::uint32_t w, std::uint32_t h, std::uint32_t bx,
-              std::uint32_t by, std::int16_t out[64]) {
+// Copies the 8x8 block whose top-left sample is (x0, y0), clamping
+// coordinates to the plane (a decoded motion vector may point past an edge).
+void GetBlock(const std::uint8_t* plane, std::uint32_t w, std::uint32_t h, std::int64_t x0,
+              std::int64_t y0, std::uint8_t out[64]) {
+  if (x0 >= 0 && y0 >= 0 && x0 + 8 <= std::int64_t(w) && y0 + 8 <= std::int64_t(h)) {
+    const std::uint8_t* src = plane + std::size_t(y0) * w + std::size_t(x0);
+    for (int y = 0; y < 8; ++y) {
+      std::memcpy(out + y * 8, src + std::size_t(y) * w, 8);
+    }
+    return;
+  }
+  std::size_t cols[8];
+  for (int x = 0; x < 8; ++x) {
+    cols[x] = std::size_t(std::clamp<std::int64_t>(x0 + x, 0, std::int64_t(w) - 1));
+  }
   for (int y = 0; y < 8; ++y) {
-    std::uint32_t sy = std::min<std::uint32_t>(by + std::uint32_t(y), h - 1);
+    const std::uint8_t* row =
+        plane + std::size_t(std::clamp<std::int64_t>(y0 + y, 0, std::int64_t(h) - 1)) * w;
     for (int x = 0; x < 8; ++x) {
-      std::uint32_t sx = std::min<std::uint32_t>(bx + std::uint32_t(x), w - 1);
-      out[y * 8 + x] = plane[sy * w + sx];
+      out[y * 8 + x] = row[cols[x]];
     }
   }
 }
 
-void PutBlock(std::uint8_t* plane, std::uint32_t w, std::uint32_t h, std::uint32_t bx,
-              std::uint32_t by, const std::int16_t in[64]) {
-  for (int y = 0; y < 8 && by + std::uint32_t(y) < h; ++y) {
-    for (int x = 0; x < 8 && bx + std::uint32_t(x) < w; ++x) {
-      plane[(by + std::uint32_t(y)) * w + bx + std::uint32_t(x)] = Clamp255(in[y * 8 + x]);
+// Stores clamp(rec + pred) into the 8x8 block at (bx, by).
+void PutBlock(std::uint8_t* plane, std::uint32_t w, std::uint32_t bx, std::uint32_t by,
+              const std::int16_t rec[64], const std::uint8_t pred[64]) {
+  for (int y = 0; y < 8; ++y) {
+    std::uint8_t* row = plane + (by + std::uint32_t(y)) * w + bx;
+    for (int x = 0; x < 8; ++x) {
+      row[x] = Clamp255(rec[y * 8 + x] + pred[y * 8 + x]);
     }
+  }
+}
+
+// Intra blocks code samples - 128 and predict nothing.
+constexpr std::uint8_t kNoPrediction[64] = {};
+
+// A skipped macroblock: the reference's 16x16 luma and 8x8 chroma unchanged.
+void CopyMacroblock(const YuvFrame& from, YuvFrame& to, std::uint32_t mx, std::uint32_t my) {
+  std::uint32_t w = from.width, cw = w / 2;
+  for (std::uint32_t yy = 0; yy < 16; ++yy) {
+    std::memcpy(to.y.data() + (my + yy) * w + mx, from.y.data() + (my + yy) * w + mx, 16);
+  }
+  for (std::uint32_t yy = 0; yy < 8; ++yy) {
+    std::size_t off = (my / 2 + yy) * cw + mx / 2;
+    std::memcpy(to.u.data() + off, from.u.data() + off, 8);
+    std::memcpy(to.v.data() + off, from.v.data() + off, 8);
   }
 }
 
@@ -164,21 +242,24 @@ void EncodeBlock(BitWriter& bw, const std::int16_t samples[64], int q,
                  std::int16_t recon[64]) {
   std::int32_t coef[64];
   Dct8x8(samples, coef);
-  std::int32_t quant[64];
+  // Quantize in zig-zag order; bit i of `nonzero` marks a nonzero level[i].
+  std::int32_t level[64];
+  std::int32_t dequant[64];
+  std::uint64_t nonzero = 0;
   for (int i = 0; i < 64; ++i) {
-    quant[i] = QuantOf(coef[i], q);
+    level[i] = QuantOf(coef[kZigzag[i]], q);
+    dequant[kZigzag[i]] = level[i] * q;
+    nonzero |= std::uint64_t(level[i] != 0) << i;
   }
   // (run, level) over the zig-zag order; EOB = run 63.
   int pos = 0;
   while (pos < 64) {
-    int run = 0;
-    while (pos + run < 64 && quant[kZigzag[pos + run]] == 0) {
-      ++run;
-    }
-    if (pos + run >= 64) {
+    std::uint64_t rest = nonzero >> pos;
+    if (rest == 0) {
       bw.Ueg(63);  // EOB
       break;
     }
+    int run = std::countr_zero(rest);
     if (run == 63) {
       // Escape the run==EOB collision (level at the very last position).
       bw.Ueg(62);
@@ -187,14 +268,10 @@ void EncodeBlock(BitWriter& bw, const std::int16_t samples[64], int q,
       continue;
     }
     bw.Ueg(static_cast<std::uint32_t>(run));
-    bw.Seg(quant[kZigzag[pos + run]]);
+    bw.Seg(level[pos + run]);
     pos += run + 1;
   }
   // Reconstruct exactly as the decoder will.
-  std::int32_t dequant[64];
-  for (int i = 0; i < 64; ++i) {
-    dequant[i] = quant[i] * q;
-  }
   Idct8x8(dequant, recon);
 }
 
@@ -210,10 +287,10 @@ bool DecodeBlock(BitReader& br, int q, std::int16_t recon[64]) {
       break;  // EOB
     }
     std::int32_t level = br.Seg();
-    pos += static_cast<int>(run);
-    if (pos >= 64) {
+    if (run >= std::uint32_t(64 - pos) || level > kMaxLevel || level < -kMaxLevel) {
       return false;
     }
+    pos += static_cast<int>(run);
     quant[kZigzag[pos]] = level;
     ++pos;
   }
@@ -225,19 +302,20 @@ bool DecodeBlock(BitReader& br, int q, std::int16_t recon[64]) {
   return br.ok();
 }
 
+// Full sum of absolute differences over a 16x16 block (the search keeps a
+// candidate only when its SAD is below the best so far, so an early exit
+// would not change its choice; the plain loop compiles to psadbw).
 std::uint32_t Sad16(const std::uint8_t* a, std::uint32_t aw, const std::uint8_t* b,
-                    std::uint32_t bw, std::uint32_t best_so_far) {
-  std::uint32_t sad = 0;
+                    std::uint32_t bw) {
+  int sad = 0;  // at most 16*16*255
   for (int y = 0; y < 16; ++y) {
     for (int x = 0; x < 16; ++x) {
-      sad += static_cast<std::uint32_t>(
-          std::abs(int(a[y * aw + x]) - int(b[y * bw + x])));
+      sad += std::abs(a[x] - b[x]);
     }
-    if (sad >= best_so_far) {
-      return sad;  // early exit
-    }
+    a += aw;
+    b += bw;
   }
-  return sad;
+  return static_cast<std::uint32_t>(sad);
 }
 
 }  // namespace
@@ -250,48 +328,79 @@ void YuvFrame::Allocate(std::uint32_t w, std::uint32_t h) {
   v.assign(std::size_t(w / 2) * (h / 2), 128);
 }
 
+std::int32_t RoundHalfAway(double x) { return RoundHalfAway2(V2d{x, x})[0]; }
+
 void Dct8x8(const std::int16_t in[64], std::int32_t out[64]) {
-  double tmp[64];
-  // Rows.
+  // Rows, all eight frequencies at once: tmp[y][u] = sum over x of c[u][x] * in[y][x].
+  V2d tmp[8][4];
   for (int y = 0; y < 8; ++y) {
-    for (int u = 0; u < 8; ++u) {
-      double s = 0;
-      for (int x = 0; x < 8; ++x) {
-        s += g_basis.c[u][x] * in[y * 8 + x];
+    V2d acc[4] = {};
+    for (int x = 0; x < 8; ++x) {
+      double d = in[y * 8 + x];
+      for (int i = 0; i < 4; ++i) {
+        acc[i] += g_basis.col[x][i] * d;
       }
-      tmp[y * 8 + u] = s;
     }
+    std::memcpy(tmp[y], acc, sizeof acc);
   }
-  // Columns.
-  for (int u = 0; u < 8; ++u) {
-    for (int v = 0; v < 8; ++v) {
-      double s = 0;
-      for (int y = 0; y < 8; ++y) {
-        s += g_basis.c[v][y] * tmp[y * 8 + u];
+  // Columns: out[v][u] = sum over y of c[v][y] * tmp[y][u].
+  for (int v = 0; v < 8; ++v) {
+    V2d acc[4] = {};
+    for (int y = 0; y < 8; ++y) {
+      double c = g_basis.c[v][y];
+      for (int i = 0; i < 4; ++i) {
+        acc[i] += c * tmp[y][i];
       }
-      out[v * 8 + u] = static_cast<std::int32_t>(std::lround(s));
+    }
+    for (int i = 0; i < 4; ++i) {
+      V2i r = RoundHalfAway2(acc[i]);
+      std::memcpy(out + v * 8 + 2 * i, &r, sizeof r);
     }
   }
 }
 
 void Idct8x8(const std::int32_t in[64], std::int16_t out[64]) {
-  double tmp[64];
+  // Rows with a nonzero coefficient (zero coefficients add nothing):
+  // tmp[j][x] = sum over u of c[u][x] * in[live[j]][u].
+  V2d tmp[8][4];
+  int live[8];
+  int nlive = 0;
   for (int v = 0; v < 8; ++v) {
-    for (int x = 0; x < 8; ++x) {
-      double s = 0;
-      for (int u = 0; u < 8; ++u) {
-        s += g_basis.c[u][x] * in[v * 8 + u];
+    V2d acc[4] = {};
+    bool any = false;
+    for (int u = 0; u < 8; ++u) {
+      int k = in[v * 8 + u];
+      if (k == 0) {
+        continue;
       }
-      tmp[v * 8 + x] = s;
+      any = true;
+      double d = k;
+      for (int i = 0; i < 4; ++i) {
+        acc[i] += g_basis.row[u][i] * d;
+      }
+    }
+    if (any) {
+      std::memcpy(tmp[nlive], acc, sizeof acc);
+      live[nlive++] = v;
     }
   }
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      double s = 0;
-      for (int v = 0; v < 8; ++v) {
-        s += g_basis.c[v][y] * tmp[v * 8 + x];
+  if (nlive == 0) {
+    std::memset(out, 0, 64 * sizeof(std::int16_t));
+    return;
+  }
+  // Columns over the live rows: out[y][x] = sum over v of c[v][y] * tmp[v][x].
+  for (int y = 0; y < 8; ++y) {
+    V2d acc[4] = {};
+    for (int j = 0; j < nlive; ++j) {
+      double c = g_basis.c[live[j]][y];
+      for (int i = 0; i < 4; ++i) {
+        acc[i] += c * tmp[j][i];
       }
-      out[y * 8 + x] = static_cast<std::int16_t>(std::lround(s));
+    }
+    for (int i = 0; i < 4; ++i) {
+      V2i r = RoundHalfAway2(acc[i]);
+      out[y * 8 + 2 * i] = static_cast<std::int16_t>(r[0]);
+      out[y * 8 + 2 * i + 1] = static_cast<std::int16_t>(r[1]);
     }
   }
 }
@@ -314,22 +423,23 @@ void VmvEncoder::AddFrame(const YuvFrame& frame) {
   std::uint32_t w = hdr_.width, h = hdr_.height;
   std::uint32_t cw = w / 2, ch = h / 2;
   int q = opt_.quant;
+  std::uint8_t cur[64], pred[64];
+  std::int16_t block[64], rec[64];
 
   if (intra) {
     auto encode_plane = [&](const std::uint8_t* src, std::uint8_t* dst, std::uint32_t pw,
                             std::uint32_t ph) {
-      std::int16_t block[64], rec[64];
       for (std::uint32_t by = 0; by < ph; by += 8) {
         for (std::uint32_t bx = 0; bx < pw; bx += 8) {
-          GetBlock(src, pw, ph, bx, by, block);
+          GetBlock(src, pw, ph, bx, by, cur);
           for (int i = 0; i < 64; ++i) {
-            block[i] = static_cast<std::int16_t>(block[i] - 128);
+            block[i] = static_cast<std::int16_t>(cur[i] - 128);
           }
           EncodeBlock(bw, block, q, rec);
           for (int i = 0; i < 64; ++i) {
             rec[i] = static_cast<std::int16_t>(rec[i] + 128);
           }
-          PutBlock(dst, pw, ph, bx, by, rec);
+          PutBlock(dst, pw, bx, by, rec, kNoPrediction);
         }
       }
     };
@@ -338,10 +448,23 @@ void VmvEncoder::AddFrame(const YuvFrame& frame) {
     encode_plane(frame.v.data(), recon.v.data(), cw, ch);
   } else {
     // P-frame: per-macroblock motion compensation with three-step search.
-    std::int16_t block[64], rec[64];
+    // Codes the residual of the 8x8 block at (bx, by) against the reference
+    // block displaced by (dx, dy), and reconstructs it as the decoder will.
+    auto code_block = [&](const std::vector<std::uint8_t>& src,
+                          const std::vector<std::uint8_t>& refp,
+                          std::vector<std::uint8_t>& dst, std::uint32_t pw, std::uint32_t ph,
+                          std::uint32_t bx, std::uint32_t by, int dx, int dy) {
+      GetBlock(src.data(), pw, ph, bx, by, cur);
+      GetBlock(refp.data(), pw, ph, std::int64_t(bx) + dx, std::int64_t(by) + dy, pred);
+      for (int i = 0; i < 64; ++i) {
+        block[i] = static_cast<std::int16_t>(cur[i] - pred[i]);
+      }
+      EncodeBlock(bw, block, q, rec);
+      PutBlock(dst.data(), pw, bx, by, rec, pred);
+    };
     for (std::uint32_t my = 0; my < h; my += 16) {
       for (std::uint32_t mx = 0; mx < w; mx += 16) {
-        const std::uint8_t* cur = frame.y.data() + my * w + mx;
+        const std::uint8_t* cur_mb = frame.y.data() + my * w + mx;
         // Three-step search around (0,0), clamped to the frame.
         int best_dx = 0, best_dy = 0;
         std::uint32_t best = ~0u;
@@ -359,7 +482,7 @@ void VmvEncoder::AddFrame(const YuvFrame& frame) {
               if (rx < 0 || ry < 0 || rx + 16 > w || ry + 16 > h) {
                 continue;
               }
-              std::uint32_t sad = Sad16(cur, w, ref_.y.data() + ry * w + rx, w, best);
+              std::uint32_t sad = Sad16(cur_mb, w, ref_.y.data() + ry * w + rx, w);
               if (sad < best) {
                 best = sad;
                 best_dx = cand_dx;
@@ -372,76 +495,20 @@ void VmvEncoder::AddFrame(const YuvFrame& frame) {
         bool skip = best < 16 * 16 * 2 && best_dx == 0 && best_dy == 0;
         if (skip) {
           bw.Bit(1);
-          // Copy reference into reconstruction.
-          for (int yy = 0; yy < 16; ++yy) {
-            std::memcpy(recon.y.data() + (my + std::uint32_t(yy)) * w + mx,
-                        ref_.y.data() + (my + std::uint32_t(yy)) * w + mx, 16);
-          }
-          for (int yy = 0; yy < 8; ++yy) {
-            std::memcpy(recon.u.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2,
-                        ref_.u.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2, 8);
-            std::memcpy(recon.v.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2,
-                        ref_.v.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2, 8);
-          }
+          CopyMacroblock(ref_, recon, mx, my);
           continue;
         }
         bw.Bit(0);
         bw.Seg(best_dx);
         bw.Seg(best_dy);
-        // Four luma residual blocks.
-        for (int sub = 0; sub < 4; ++sub) {
-          std::uint32_t bx = mx + std::uint32_t(sub % 2) * 8;
-          std::uint32_t by = my + std::uint32_t(sub / 2) * 8;
-          for (int yy = 0; yy < 8; ++yy) {
-            for (int xx = 0; xx < 8; ++xx) {
-              std::int64_t ry = std::int64_t(by) + yy + best_dy;
-              std::int64_t rx = std::int64_t(bx) + xx + best_dx;
-              block[yy * 8 + xx] = static_cast<std::int16_t>(
-                  frame.y[(by + std::uint32_t(yy)) * w + bx + std::uint32_t(xx)] -
-                  ref_.y[std::size_t(ry) * w + std::size_t(rx)]);
-            }
-          }
-          EncodeBlock(bw, block, q, rec);
-          for (int yy = 0; yy < 8; ++yy) {
-            for (int xx = 0; xx < 8; ++xx) {
-              std::int64_t ry = std::int64_t(by) + yy + best_dy;
-              std::int64_t rx = std::int64_t(bx) + xx + best_dx;
-              recon.y[(by + std::uint32_t(yy)) * w + bx + std::uint32_t(xx)] = Clamp255(
-                  rec[yy * 8 + xx] + ref_.y[std::size_t(ry) * w + std::size_t(rx)]);
-            }
-          }
+        // Four luma residual blocks, then chroma with halved motion.
+        for (std::uint32_t sub = 0; sub < 4; ++sub) {
+          code_block(frame.y, ref_.y, recon.y, w, h, mx + (sub % 2) * 8, my + (sub / 2) * 8,
+                     best_dx, best_dy);
         }
-        // Chroma residuals with halved motion.
         int cdx = best_dx / 2, cdy = best_dy / 2;
-        auto chroma = [&](const std::vector<std::uint8_t>& src,
-                          const std::vector<std::uint8_t>& refp,
-                          std::vector<std::uint8_t>& out_plane) {
-          std::uint32_t bx = mx / 2, by = my / 2;
-          for (int yy = 0; yy < 8; ++yy) {
-            for (int xx = 0; xx < 8; ++xx) {
-              std::int64_t ry = std::int64_t(by) + yy + cdy;
-              std::int64_t rx = std::int64_t(bx) + xx + cdx;
-              ry = std::clamp<std::int64_t>(ry, 0, ch - 1);
-              rx = std::clamp<std::int64_t>(rx, 0, cw - 1);
-              block[yy * 8 + xx] = static_cast<std::int16_t>(
-                  src[(by + std::uint32_t(yy)) * cw + bx + std::uint32_t(xx)] -
-                  refp[std::size_t(ry) * cw + std::size_t(rx)]);
-            }
-          }
-          EncodeBlock(bw, block, q, rec);
-          for (int yy = 0; yy < 8; ++yy) {
-            for (int xx = 0; xx < 8; ++xx) {
-              std::int64_t ry = std::int64_t(by) + yy + cdy;
-              std::int64_t rx = std::int64_t(bx) + xx + cdx;
-              ry = std::clamp<std::int64_t>(ry, 0, ch - 1);
-              rx = std::clamp<std::int64_t>(rx, 0, cw - 1);
-              out_plane[(by + std::uint32_t(yy)) * cw + bx + std::uint32_t(xx)] = Clamp255(
-                  rec[yy * 8 + xx] + refp[std::size_t(ry) * cw + std::size_t(rx)]);
-            }
-          }
-        };
-        chroma(frame.u, ref_.u, recon.u);
-        chroma(frame.v, ref_.v, recon.v);
+        code_block(frame.u, ref_.u, recon.u, cw, ch, mx / 2, my / 2, cdx, cdy);
+        code_block(frame.v, ref_.v, recon.v, cw, ch, mx / 2, my / 2, cdx, cdy);
       }
     }
   }
@@ -520,9 +587,10 @@ bool VmvDecoder::DecodeFrame(YuvFrame* out) {
   std::uint32_t cw = w / 2, ch = h / 2;
   out->Allocate(w, h);
 
+  std::uint8_t pred[64];
+  std::int16_t rec[64];
   if (type == 'I') {
     auto decode_plane = [&](std::uint8_t* dst, std::uint32_t pw, std::uint32_t ph) {
-      std::int16_t rec[64];
       for (std::uint32_t by = 0; by < ph; by += 8) {
         for (std::uint32_t bx = 0; bx < pw; bx += 8) {
           if (!DecodeBlock(br, q, rec)) {
@@ -532,7 +600,7 @@ bool VmvDecoder::DecodeFrame(YuvFrame* out) {
           for (int i = 0; i < 64; ++i) {
             rec[i] = static_cast<std::int16_t>(rec[i] + 128);
           }
-          PutBlock(dst, pw, ph, bx, by, rec);
+          PutBlock(dst, pw, bx, by, rec, kNoPrediction);
         }
       }
       return true;
@@ -543,7 +611,19 @@ bool VmvDecoder::DecodeFrame(YuvFrame* out) {
     }
     stats_.mbs_intra += (w / 16) * (h / 16);
   } else if (type == 'P') {
-    std::int16_t rec[64];
+    // Decodes the residual of the 8x8 block at (bx, by) onto the reference
+    // block displaced by (dx, dy).
+    auto decode_block = [&](const std::vector<std::uint8_t>& refp, std::vector<std::uint8_t>& dst,
+                            std::uint32_t pw, std::uint32_t ph, std::uint32_t bx,
+                            std::uint32_t by, int dx, int dy) {
+      if (!DecodeBlock(br, q, rec)) {
+        return false;
+      }
+      ++last_frame_blocks_;
+      GetBlock(refp.data(), pw, ph, std::int64_t(bx) + dx, std::int64_t(by) + dy, pred);
+      PutBlock(dst.data(), pw, bx, by, rec, pred);
+      return true;
+    };
     for (std::uint32_t my = 0; my < h; my += 16) {
       for (std::uint32_t mx = 0; mx < w; mx += 16) {
         int skip = br.Bit();
@@ -552,56 +632,21 @@ bool VmvDecoder::DecodeFrame(YuvFrame* out) {
         }
         if (skip) {
           ++stats_.mbs_skipped;
-          for (int yy = 0; yy < 16; ++yy) {
-            std::memcpy(out->y.data() + (my + std::uint32_t(yy)) * w + mx,
-                        ref_.y.data() + (my + std::uint32_t(yy)) * w + mx, 16);
-          }
-          for (int yy = 0; yy < 8; ++yy) {
-            std::memcpy(out->u.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2,
-                        ref_.u.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2, 8);
-            std::memcpy(out->v.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2,
-                        ref_.v.data() + (my / 2 + std::uint32_t(yy)) * cw + mx / 2, 8);
-          }
+          CopyMacroblock(ref_, *out, mx, my);
           continue;
         }
         ++stats_.mbs_inter;
         int dx = br.Seg();
         int dy = br.Seg();
-        for (int sub = 0; sub < 4; ++sub) {
-          std::uint32_t bx = mx + std::uint32_t(sub % 2) * 8;
-          std::uint32_t by = my + std::uint32_t(sub / 2) * 8;
-          if (!DecodeBlock(br, q, rec)) {
+        for (std::uint32_t sub = 0; sub < 4; ++sub) {
+          if (!decode_block(ref_.y, out->y, w, h, mx + (sub % 2) * 8, my + (sub / 2) * 8, dx,
+                            dy)) {
             return false;
-          }
-          ++last_frame_blocks_;
-          for (int yy = 0; yy < 8; ++yy) {
-            for (int xx = 0; xx < 8; ++xx) {
-              std::int64_t ry = std::clamp<std::int64_t>(std::int64_t(by) + yy + dy, 0, h - 1);
-              std::int64_t rx = std::clamp<std::int64_t>(std::int64_t(bx) + xx + dx, 0, w - 1);
-              out->y[(by + std::uint32_t(yy)) * w + bx + std::uint32_t(xx)] = Clamp255(
-                  rec[yy * 8 + xx] + ref_.y[std::size_t(ry) * w + std::size_t(rx)]);
-            }
           }
         }
         int cdx = dx / 2, cdy = dy / 2;
-        auto chroma = [&](const std::vector<std::uint8_t>& refp,
-                          std::vector<std::uint8_t>& dst) {
-          if (!DecodeBlock(br, q, rec)) {
-            return false;
-          }
-          ++last_frame_blocks_;
-          std::uint32_t bx = mx / 2, by = my / 2;
-          for (int yy = 0; yy < 8; ++yy) {
-            for (int xx = 0; xx < 8; ++xx) {
-              std::int64_t ry = std::clamp<std::int64_t>(std::int64_t(by) + yy + cdy, 0, ch - 1);
-              std::int64_t rx = std::clamp<std::int64_t>(std::int64_t(bx) + xx + cdx, 0, cw - 1);
-              dst[(by + std::uint32_t(yy)) * cw + bx + std::uint32_t(xx)] = Clamp255(
-                  rec[yy * 8 + xx] + refp[std::size_t(ry) * cw + std::size_t(rx)]);
-            }
-          }
-          return true;
-        };
-        if (!chroma(ref_.u, out->u) || !chroma(ref_.v, out->v)) {
+        if (!decode_block(ref_.u, out->u, cw, ch, mx / 2, my / 2, cdx, cdy) ||
+            !decode_block(ref_.v, out->v, cw, ch, mx / 2, my / 2, cdx, cdy)) {
           return false;
         }
       }

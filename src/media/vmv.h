@@ -84,8 +84,16 @@ class VmvDecoder {
 };
 
 // 8x8 forward/inverse DCT (exposed for tests; inverse(forward(x)) ~= x).
+// Each output is exactly the textbook separable sum (rows, then columns, each
+// over its inputs in ascending order) rounded by RoundHalfAway, so encoded
+// streams do not depend on how the loops are vectorised. The inverse skips
+// zero coefficients and rows: adding ±0 leaves an IEEE sum unchanged.
 void Dct8x8(const std::int16_t in[64], std::int32_t out[64]);
 void Idct8x8(const std::int32_t in[64], std::int16_t out[64]);
+
+// std::lround for |x| < 2^31, which bounds every transform sum a decodable
+// stream can produce: rounds half away from zero, as the transforms do.
+std::int32_t RoundHalfAway(double x);
 
 // Generates `n` frames of a synthetic test scene (moving gradients + bouncing
 // box) — the bench content generator.

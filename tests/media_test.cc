@@ -1,14 +1,147 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string>
 
+#include "src/base/crc32.h"
 #include "src/base/random.h"
 #include "src/media/vmv.h"
 #include "src/media/vog.h"
 #include "src/media/wav.h"
+#include "src/vos/system.h"
 
 namespace vos {
 namespace {
+
+// The textbook separable DCT the codec's transforms must match bit for bit:
+// rows then columns, each sum from 0 in ascending order, std::lround.
+struct NaiveDct {
+  double c[8][8];
+  NaiveDct() {
+    for (int u = 0; u < 8; ++u) {
+      double cu = u == 0 ? std::sqrt(0.125) : 0.5;
+      for (int x = 0; x < 8; ++x) {
+        c[u][x] = cu * std::cos((2 * x + 1) * u * 3.14159265358979323846 / 16.0);
+      }
+    }
+  }
+  void Forward(const std::int16_t in[64], std::int32_t out[64]) const {
+    double tmp[64];
+    for (int y = 0; y < 8; ++y) {
+      for (int u = 0; u < 8; ++u) {
+        double s = 0;
+        for (int x = 0; x < 8; ++x) {
+          s += c[u][x] * in[y * 8 + x];
+        }
+        tmp[y * 8 + u] = s;
+      }
+    }
+    for (int u = 0; u < 8; ++u) {
+      for (int v = 0; v < 8; ++v) {
+        double s = 0;
+        for (int y = 0; y < 8; ++y) {
+          s += c[v][y] * tmp[y * 8 + u];
+        }
+        out[v * 8 + u] = static_cast<std::int32_t>(std::lround(s));
+      }
+    }
+  }
+  void Inverse(const std::int32_t in[64], std::int16_t out[64]) const {
+    double tmp[64];
+    for (int v = 0; v < 8; ++v) {
+      for (int x = 0; x < 8; ++x) {
+        double s = 0;
+        for (int u = 0; u < 8; ++u) {
+          s += c[u][x] * in[v * 8 + u];
+        }
+        tmp[v * 8 + x] = s;
+      }
+    }
+    for (int x = 0; x < 8; ++x) {
+      for (int y = 0; y < 8; ++y) {
+        double s = 0;
+        for (int v = 0; v < 8; ++v) {
+          s += c[v][y] * tmp[v * 8 + x];
+        }
+        out[y * 8 + x] = static_cast<std::int16_t>(std::lround(s));
+      }
+    }
+  }
+};
+
+TEST(Dct, MatchesReferenceBitForBit) {
+  const NaiveDct ref;
+  Rng rng(16);
+  std::vector<std::array<std::int16_t, 64>> samples;
+  std::vector<std::array<std::int32_t, 64>> coefs;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::array<std::int16_t, 64> s{};
+    std::array<std::int32_t, 64> k{};
+    if (trial < 100) {  // dense
+      for (int i = 0; i < 64; ++i) {
+        s[std::size_t(i)] = static_cast<std::int16_t>(rng.NextRange(-255, 255));
+        k[std::size_t(i)] = static_cast<std::int32_t>(rng.NextRange(-2040, 2040));
+      }
+    } else if (trial < 390) {  // 1-3 nonzeros, as most residual blocks are
+      int n = 1 + trial % 3;
+      for (int j = 0; j < n; ++j) {
+        s[rng.NextBelow(64)] = static_cast<std::int16_t>(rng.NextRange(-255, 255));
+        k[rng.NextBelow(64)] = static_cast<std::int32_t>(rng.NextRange(-4096, 4096) * 8);
+      }
+    }  // else all zero
+    samples.push_back(s);
+    coefs.push_back(k);
+  }
+  // Extremes: full-scale samples and the largest coefficients a q=255
+  // stream can carry (±4096 levels).
+  for (int sign : {1, -1}) {
+    std::array<std::int16_t, 64> s{};
+    std::array<std::int16_t, 64> checker{};
+    std::array<std::int32_t, 64> k{};
+    std::array<std::int32_t, 64> alt{};
+    for (int i = 0; i < 64; ++i) {
+      s[std::size_t(i)] = static_cast<std::int16_t>(255 * sign);
+      checker[std::size_t(i)] = static_cast<std::int16_t>(((i + i / 8) % 2 ? 255 : -255) * sign);
+      k[std::size_t(i)] = 4096 * 255 * sign;
+      alt[std::size_t(i)] = (i % 2 ? 4096 : -4096) * 255 * sign;
+    }
+    samples.push_back(s);
+    samples.push_back(checker);
+    coefs.push_back(k);
+    coefs.push_back(alt);
+  }
+  for (const auto& s : samples) {
+    std::int32_t got[64], want[64];
+    Dct8x8(s.data(), got);
+    ref.Forward(s.data(), want);
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "forward coef " << i;
+    }
+  }
+  for (const auto& k : coefs) {
+    std::int16_t got[64], want[64];
+    Idct8x8(k.data(), got);
+    ref.Inverse(k.data(), want);
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "inverse sample " << i;
+    }
+  }
+}
+
+TEST(Dct, RoundHalfAwayMatchesLround) {
+  std::vector<double> xs = {0.5,  -0.5, 1.5,  -1.5, 2.5, -2.5, std::nextafter(0.5, 0.0),
+                            -std::nextafter(0.5, 0.0), -0.0, 0.0, 0.49999999999999994,
+                            2147483646.5, -2147483646.5, 2147483647.25, -2147483647.75};
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    xs.push_back(static_cast<double>(rng.NextRange(-1000000, 1000000)) / 8.0);
+    xs.push_back(static_cast<double>(rng.NextRange(-1000000, 1000000)) * 1.0e-3);
+  }
+  for (double x : xs) {
+    EXPECT_EQ(RoundHalfAway(x), std::lround(x)) << "x = " << x;
+  }
+}
 
 TEST(Dct, RoundTripIsNearIdentity) {
   Rng rng(1);
@@ -104,6 +237,85 @@ TEST(Vmv, RejectsCorruptStreams) {
   ASSERT_TRUE(dec2.Open(bits2.data(), bits2.size() / 2));
   YuvFrame out;
   EXPECT_FALSE(dec2.DecodeFrame(&out));
+
+  // Hand-built 16x16 I-frames (six blocks): the first block carries one
+  // level, the rest are bare EOBs. A level beyond ±2^15 would overflow
+  // level*q; the decoder refuses it.
+  auto intra_stream = [](const std::string& code) {
+    std::vector<std::uint8_t> payload((code.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      if (code[i] == '1') {
+        payload[i / 8] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
+      }
+    }
+    std::vector<std::uint8_t> s;
+    for (std::uint32_t v : {0x31564d56u, 16u, 16u, 30u, 1u}) {
+      for (int i = 0; i < 4; ++i) {
+        s.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    }
+    s.push_back('I');
+    s.push_back(255);  // q
+    for (int i = 0; i < 4; ++i) {
+      s.push_back(static_cast<std::uint8_t>(payload.size() >> (8 * i)));
+    }
+    s.insert(s.end(), payload.begin(), payload.end());
+    return s;
+  };
+  auto ueg = [](std::uint32_t v) {
+    std::uint64_t vp = std::uint64_t(v) + 1;
+    std::string code;
+    for (int b = 63; b >= 0; --b) {
+      if (vp >> b) {
+        code = std::string(std::size_t(b), '0');
+        for (int i = b; i >= 0; --i) {
+          code += (vp >> i) & 1 ? '1' : '0';
+        }
+        break;
+      }
+    }
+    return code;
+  };
+  auto one_level = [&](std::int32_t level) {
+    std::int64_t l = level;
+    auto m = static_cast<std::uint32_t>(l > 0 ? 2 * l - 1 : -2 * l);
+    std::string code = ueg(0) + ueg(m) + ueg(63);
+    for (int b = 1; b < 6; ++b) {
+      code += ueg(63);
+    }
+    return intra_stream(code);
+  };
+  for (std::int32_t level : {1 << 15, -(1 << 15)}) {
+    auto ok = one_level(level);
+    VmvDecoder d;
+    ASSERT_TRUE(d.Open(ok.data(), ok.size()));
+    EXPECT_TRUE(d.DecodeFrame(&out)) << level;
+  }
+  for (std::int32_t level : {(1 << 15) + 1, -(1 << 15) - 1, 1 << 30, -(1 << 30)}) {
+    auto bad = one_level(level);
+    VmvDecoder d;
+    ASSERT_TRUE(d.Open(bad.data(), bad.size()));
+    EXPECT_FALSE(d.DecodeFrame(&out)) << level;
+  }
+  // A run past the block's end, including one beyond INT32_MAX.
+  for (std::uint32_t run : {64u, 0x80000000u, 0xfffffffeu}) {
+    std::string code = ueg(run) + ueg(1);
+    for (int b = 0; b < 6; ++b) {
+      code += ueg(63);
+    }
+    auto bad = intra_stream(code);
+    VmvDecoder d;
+    ASSERT_TRUE(d.Open(bad.data(), bad.size()));
+    EXPECT_FALSE(d.DecodeFrame(&out)) << run;
+  }
+  // An Exp-Golomb code with 32 leading zeros is malformed; one cut off by
+  // the end of the frame is truncated. Both fail.
+  for (const std::string& code : {std::string(40, '0') + "1", std::string("00001")}) {
+    auto bad = intra_stream(code);
+    VmvDecoder d;
+    ASSERT_TRUE(d.Open(bad.data(), bad.size()));
+    EXPECT_FALSE(d.DecodeFrame(&out));
+  }
 }
 
 TEST(Vmv, DecodeStatsDriveCostModel) {
@@ -117,6 +329,39 @@ TEST(Vmv, DecodeStatsDriveCostModel) {
   ASSERT_TRUE(dec.DecodeFrame(&out));
   // I-frame of 64x64: 64 luma + 2*16 chroma = 96 blocks.
   EXPECT_EQ(dec.last_frame_blocks(), 96u);
+}
+
+// The encoder is exact: the media assets are the same bytes on every build,
+// so the FAT image, the decode cost model and every frame stay put.
+TEST(Vmv, MediaAssetsAreByteStable) {
+  struct Want {
+    const char* path;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  auto check = [](const FsSpec& spec, const std::vector<Want>& want) {
+    ASSERT_EQ(spec.files.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const FsEntry& f = spec.files[i];
+      EXPECT_EQ(f.path, want[i].path);
+      EXPECT_EQ(f.data.size(), want[i].size) << f.path;
+      EXPECT_EQ(Crc32(f.data.data(), f.data.size()), want[i].crc) << f.path;
+    }
+  };
+  check(System::MakeMediaAssets(640, 480, 24), {{"/music/track1.vog", 88918, 0x50899e4e},
+                                                {"/videos/clip480.vmv", 487075, 0xdf4dce50},
+                                                {"/slides/s1.bmp", 57654, 0x9382b2c4},
+                                                {"/slides/s2.png", 9741, 0x9377851f},
+                                                {"/slides/s3.gif", 1270, 0x37d3a215}});
+  // The default SystemOptions clip.
+  SystemOptions defaults;
+  check(System::MakeMediaAssets(defaults.media_video_w, defaults.media_video_h,
+                                defaults.media_video_frames),
+        {{"/music/track1.vog", 88918, 0x50899e4e},
+         {"/videos/clip480.vmv", 158004, 0x8f0518e4},
+         {"/slides/s1.bmp", 57654, 0x9382b2c4},
+         {"/slides/s2.png", 9741, 0x9377851f},
+         {"/slides/s3.gif", 1270, 0x37d3a215}});
 }
 
 TEST(ImaAdpcm, StepTableIsTheStandardOne) {

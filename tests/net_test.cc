@@ -435,7 +435,7 @@ TEST_F(LossyNetTest, RetransmitsHealFrameLoss) {
   // A 4% lossy link over ~hundreds of frames must have dropped and healed.
   EXPECT_GT(net->stats().tcp_retransmit, 0u);
   // The NIC counted the shed frames.
-  EXPECT_GT(sys_.board().nic()->link_dropped(), 0u);
+  EXPECT_GT(sys_.board().nic().link_dropped(), 0u);
 }
 
 // --- Observability + app -----------------------------------------------------

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Check that every KernelConfig and SystemOptions field is set somewhere.
+"""Check that every KernelConfig, SystemOptions and BoardConfig field is set somewhere.
 
 A config field that nothing ever assigns only ever holds its default: it is
 a constant that makes readers think about configurations no caller runs.
-This lint fails when a field of `struct KernelConfig` (src/kernel/kconfig.h)
-or `struct SystemOptions` (src/vos/system.h) has no assignment outside its
-declaration in src/, tests/, bench/, vosbench/ or examples/. Fold such a
-field into a constexpr next to its reader instead.
+This lint fails when a field of `struct KernelConfig` (src/kernel/kconfig.h),
+`struct SystemOptions` (src/vos/system.h) or `struct BoardConfig`
+(src/hw/board.h) has no assignment outside its declaration in src/, tests/,
+bench/, vosbench/ or examples/. Fold such a field into a constexpr next to
+its reader instead.
 
 A write is `.field =` or `->field =` (compound assignments and designated
 initializers too), an assignment to a member of the field, or a
@@ -25,6 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STRUCTS = (
     ("KernelConfig", os.path.join(ROOT, "src", "kernel", "kconfig.h")),
     ("SystemOptions", os.path.join(ROOT, "src", "vos", "system.h")),
+    ("BoardConfig", os.path.join(ROOT, "src", "hw", "board.h")),
 )
 SEARCH_DIRS = ("src", "tests", "bench", "vosbench", "examples")
 SOURCE_EXTS = (".h", ".cc", ".cpp")
