@@ -67,7 +67,8 @@ const Subsystem kKernelSubsystems[] = {
     {"window manager", 5, {"wm/"}},
     {"self-hosted debugging", 4, {"kernel/trace", "kernel/debug_monitor", "kernel/unwind"}},
     {"observability (metrics registry + profiler)", 4, {"kernel/metrics", "kernel/profiler"}},
-    {"lock checkers (lockdep + racedet)", 4, {"kernel/lockdep", "kernel/racedet"}},
+    {"lock checkers (lockdep + racedet)", 4,
+     {"kernel/lockdep", "kernel/racedet", "kernel/stack_depot"}},
     {"networking (nic + tcp/ip + sockets)", 5, {"hw/nic", "kernel/net/"}},
 };
 

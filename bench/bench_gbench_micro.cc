@@ -6,10 +6,13 @@
 #include "src/base/inflate.h"
 #include "src/base/deflate.h"
 #include "src/base/sha256.h"
+#include "src/fs/bcache.h"
 #include "src/fs/fat32.h"
 #include "src/fs/xv6fs.h"
 #include "src/hw/event_queue.h"
 #include "src/hw/phys_mem.h"
+#include "src/kernel/spinlock.h"
+#include "src/kernel/task.h"
 #include "src/media/vmv.h"
 #include "src/ulib/pixel.h"
 #include "src/vos/prototypes.h"
@@ -186,6 +189,56 @@ void BM_PhysMemLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PhysMemLoad);
+
+// One checked SpinLock round trip with lockdep and racedet on, taken while
+// an outer lock is held (so each acquire runs the order check against one
+// held entry), through the kernel's own backtrace provider: on the machine
+// thread (in_task:0) and on a task fiber with a shadow call stack (in_task:1).
+void BM_SpinLockAcquireRelease(benchmark::State& state) {
+  System sys(OptionsForStage(Stage::kProto2));
+  SpinLock outer("bench_outer");
+  SpinLock inner("bench_inner");
+  auto loop = [&] {
+    SpinGuard o(outer);
+    for (auto _ : state) {
+      SpinGuard i(inner);
+    }
+  };
+  if (state.range(0) == 0) {
+    loop();
+    return;
+  }
+  Kernel& k = sys.kernel();
+  bool done = false;
+  k.CreateKernelTask("bench_locks", [&] {
+    StackFrame f1(k.CurrentTask(), "bench_locks_main");
+    StackFrame f2(k.CurrentTask(), "bench_locks_loop");
+    loop();
+    done = true;
+  });
+  while (!done) {
+    sys.Run(Ms(1));
+  }
+}
+BENCHMARK(BM_SpinLockAcquireRelease)->ArgName("in_task")->Arg(0)->Arg(1);
+
+// A bread+brelse that hits, with all 64 buffers valid (lockdep on, no task).
+void BM_BcacheReadHit(benchmark::State& state) {
+  KernelConfig cfg;
+  RamDisk disk(256 * kBlockSize);
+  Bcache bc(cfg);
+  const int dev = bc.AddDevice(&disk);
+  Cycles burn = 0;
+  for (std::uint64_t lba = 0; lba < kNumBufs; ++lba) {
+    bc.Release(bc.Read(dev, lba, &burn));
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    Buf* b = bc.Read(dev, (i++ * 7) % kNumBufs, &burn);
+    bc.Release(b);
+  }
+}
+BENCHMARK(BM_BcacheReadHit);
 
 void BM_BootProto5(benchmark::State& state) {
   for (auto _ : state) {

@@ -44,6 +44,12 @@ class IntrusiveList {
 
   T* Front() { return empty() ? nullptr : OwnerOf(sentinel_.next); }
   T* Back() { return empty() ? nullptr : OwnerOf(sentinel_.prev); }
+  // The element before t (toward the front), or nullptr at the front: a
+  // back-to-front walk is Back(), Prev(), Prev(), ...
+  T* Prev(T* t) {
+    ListNode* p = NodeOf(t)->prev;
+    return p == &sentinel_ ? nullptr : OwnerOf(p);
+  }
 
   T* PopFront() {
     if (empty()) {

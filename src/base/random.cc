@@ -1,5 +1,7 @@
 #include "src/base/random.h"
 
+#include <bit>
+
 #include "src/base/assert.h"
 
 namespace vos {
@@ -61,19 +63,36 @@ bool Rng::Chance(double p) {
 }
 
 RngJump::RngJump(std::uint64_t calls) {
+  // Column i is the image of state bit i.
+  BitMatrix cols;
   BitMatrix pow;
   for (int i = 0; i < 64; ++i) {
     pow[i] = Step(1ull << i);
-    cols_[i] = 1ull << i;
+    cols[i] = 1ull << i;
   }
   for (; calls != 0; calls >>= 1) {
     if ((calls & 1) != 0) {
-      cols_ = Compose(pow, cols_);
+      cols = Compose(pow, cols);
     }
     pow = Compose(pow, pow);
   }
+  // Each entry is a smaller entry plus one more column: v with its lowest
+  // set bit cleared, XOR that bit's column.
+  for (int k = 0; k < 8; ++k) {
+    auto& t = bytes_[static_cast<std::size_t>(k)];
+    t[0] = 0;
+    for (unsigned v = 1; v < 256; ++v) {
+      t[v] = t[v & (v - 1)] ^ cols[static_cast<std::size_t>(8 * k + std::countr_zero(v))];
+    }
+  }
 }
 
-std::uint64_t RngJump::operator()(std::uint64_t state) const { return Apply(cols_, state); }
+std::uint64_t RngJump::operator()(std::uint64_t state) const {
+  std::uint64_t r = 0;
+  for (std::size_t k = 0; k < 8; ++k) {
+    r ^= bytes_[k][(state >> (8 * k)) & 0xff];
+  }
+  return r;
+}
 
 }  // namespace vos

@@ -33,9 +33,11 @@ class Rng {
   std::uint64_t state_;
 };
 
-// Jumps an Rng state ahead by a fixed number of Next() calls in 64 steps
-// instead of one per call. The xorshift64 state update is linear over GF(2),
-// so `calls` updates are one 64x64 bit matrix, built by repeated squaring.
+// Jumps an Rng state ahead by a fixed number of Next() calls in 8 table
+// lookups instead of one step per call. The xorshift64 state update is
+// linear over GF(2), so `calls` updates are one 64x64 bit matrix, built by
+// repeated squaring; the matrix is then folded into one 256-entry table per
+// state byte, so applying it XORs 8 precomputed images.
 class RngJump {
  public:
   explicit RngJump(std::uint64_t calls);
@@ -44,8 +46,8 @@ class RngJump {
   std::uint64_t operator()(std::uint64_t state) const;
 
  private:
-  // Column i is the image of state bit i.
-  std::array<std::uint64_t, 64> cols_;
+  // bytes_[k][v] is the image of state byte k holding v (other bytes zero).
+  std::array<std::array<std::uint64_t, 256>, 8> bytes_;
 };
 
 }  // namespace vos

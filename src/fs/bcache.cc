@@ -1,6 +1,7 @@
 #include "src/fs/bcache.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/base/assert.h"
 #include "src/base/status.h"
@@ -12,6 +13,8 @@ int Bcache::AddDevice(BlockDevice* dev, const std::string& name) {
   SpinGuard g(lock_);
   queues_.emplace_back(dev);
   pending_error_.push_back(0);
+  dirty_count_.push_back(0);
+  pinned_count_.push_back(0);
   if (latency_hook_) {
     auto hook = latency_hook_;
     queues_.back().SetCompletionHook(
@@ -33,8 +36,87 @@ void Bcache::SetLatencyHook(std::function<void(Cycles)> hook) {
 }
 
 void Bcache::Touch(Buf* b) {
-  lru_.remove(b);
-  lru_.push_front(b);
+  if (b->lru_hook.linked()) {
+    lru_.Remove(b);
+  }
+  lru_.PushFront(b);
+}
+
+namespace {
+// Home slot of (dev, lba) in an index of 2^bits slots.
+std::size_t IndexSlot(int dev, std::uint64_t lba, int bits) {
+  const std::uint64_t key = lba ^ (static_cast<std::uint64_t>(dev) << 56);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+}
+
+// Moves `bit` into or out of `set`; reports whether membership changed.
+bool SetBit(std::uint64_t& set, std::uint64_t bit, bool in) {
+  if (((set & bit) != 0) == in) {
+    return false;
+  }
+  set ^= bit;
+  return true;
+}
+}  // namespace
+
+Buf* Bcache::Lookup(int dev, std::uint64_t lba) const {
+  constexpr std::size_t kMask = (1 << kIndexBits) - 1;
+  for (std::size_t i = IndexSlot(dev, lba, kIndexBits);; i = (i + 1) & kMask) {
+    Buf* b = index_[i];
+    if (b == nullptr || (b->dev == dev && b->lba == lba)) {
+      return b;
+    }
+  }
+}
+
+void Bcache::IndexInsert(Buf* b) {
+  constexpr std::size_t kMask = (1 << kIndexBits) - 1;
+  std::size_t i = IndexSlot(b->dev, b->lba, kIndexBits);
+  while (index_[i] != nullptr) {
+    i = (i + 1) & kMask;
+  }
+  index_[i] = b;
+}
+
+void Bcache::IndexErase(Buf* b) {
+  constexpr std::size_t kMask = (1 << kIndexBits) - 1;
+  std::size_t hole = IndexSlot(b->dev, b->lba, kIndexBits);
+  while (index_[hole] != b) {
+    hole = (hole + 1) & kMask;
+  }
+  // Backward-shift deletion: pull each later entry of the probe run into the
+  // hole unless its home slot lies cyclically in (hole, j].
+  for (std::size_t j = (hole + 1) & kMask; index_[j] != nullptr; j = (j + 1) & kMask) {
+    const std::size_t home = IndexSlot(index_[j]->dev, index_[j]->lba, kIndexBits);
+    if (((j - home) & kMask) >= ((j - hole) & kMask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = nullptr;
+}
+
+void Bcache::Sync(Buf* b) {
+  const std::uint64_t bit = std::uint64_t{1} << (b - bufs_.data());
+  if (SetBit(indexed_, bit, b->valid)) {
+    if (b->valid) {
+      IndexInsert(b);
+    } else {
+      IndexErase(b);
+    }
+  }
+  SetBit(free_, bit, !b->valid && b->refcnt == 0);
+  // Counted under b->dev: a set bit implies valid, and dev is fixed while valid.
+  const bool in_dirty_set = b->valid && b->dirty && !b->jpinned;  // racedet: ok (bookkeeping mirror; callers hold lock_)
+  if (SetBit(dirty_, bit, in_dirty_set)) {
+    std::uint32_t& n = dirty_count_[static_cast<std::size_t>(b->dev)];
+    n = in_dirty_set ? n + 1 : n - 1;
+  }
+  const bool in_pinned_set = b->valid && b->jpinned;  // racedet: ok (bookkeeping mirror; callers hold lock_)
+  if (SetBit(pinned_, bit, in_pinned_set)) {
+    std::uint32_t& n = pinned_count_[static_cast<std::size_t>(b->dev)];
+    n = in_pinned_set ? n + 1 : n - 1;
+  }
 }
 
 Cycles Bcache::FlushBufs(int dev, std::vector<Buf*>& bufs) {
@@ -65,6 +147,7 @@ Cycles Bcache::FlushBufs(int dev, std::vector<Buf*>& bufs) {
     // data is dropped, io_failed marks the buffer, and the error latches in
     // the device's pending error so the next sync/fsync reports kErrIo.
     RD_WRITE(b->dirty) = false;
+    Sync(b);
     if (reqs[i].status == BlockStatus::kOk) {
       b->io_failed = false;
       ++flushed;
@@ -83,18 +166,16 @@ Cycles Bcache::FlushBufs(int dev, std::vector<Buf*>& bufs) {
 }
 
 Buf* Bcache::FindOrRecycle(int dev, std::uint64_t lba, Cycles* burn) {
-  for (Buf& b : bufs_) {
-    if (b.valid && b.dev == dev && b.lba == lba) {
-      return &b;
-    }
+  if (Buf* hit = Lookup(dev, lba)) {
+    return hit;
   }
-  // An unused slot first (never-cached buffers live outside the LRU list).
-  for (Buf& b : bufs_) {
-    if (b.refcnt == 0 && !b.valid) {
-      b.dev = dev;
-      b.lba = lba;
-      return &b;
-    }
+  // An unused slot first, lowest index first (never-cached buffers live
+  // outside the LRU list).
+  if (free_ != 0) {
+    Buf* b = &bufs_[static_cast<std::size_t>(std::countr_zero(free_))];
+    b->dev = dev;
+    b->lba = lba;
+    return b;
   }
   // Recycle, preferring a clean unreferenced buffer (LRU order) so hot dirty
   // data survives; fall back to evicting the LRU dirty one, which must be
@@ -102,16 +183,16 @@ Buf* Bcache::FindOrRecycle(int dev, std::uint64_t lba, Cycles* burn) {
   // Journal-pinned buffers are not candidates at all: recycling one would
   // resurrect stale home contents on the next read.
   Buf* victim = nullptr;
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    if ((*it)->refcnt != 0 || RD_READ((*it)->jpinned)) {
+  for (Buf* b = lru_.Back(); b != nullptr; b = lru_.Prev(b)) {
+    if (b->refcnt != 0 || RD_READ(b->jpinned)) {
       continue;
     }
-    if (!RD_READ((*it)->dirty)) {
-      victim = *it;
+    if (!RD_READ(b->dirty)) {
+      victim = b;
       break;
     }
     if (victim == nullptr) {
-      victim = *it;  // LRU-est dirty candidate, kept in case no clean one exists
+      victim = b;  // LRU-est dirty candidate, kept in case no clean one exists
     }
   }
   if (victim == nullptr) {
@@ -126,6 +207,7 @@ Buf* Bcache::FindOrRecycle(int dev, std::uint64_t lba, Cycles* burn) {
   }
   VOS_CHECK_MSG(!RD_READ(victim->dirty), "recycling a dirty buffer without a flush");
   victim->valid = false;
+  Sync(victim);  // leaves the index under its old key
   victim->io_failed = false;
   victim->dev = dev;
   victim->lba = lba;
@@ -145,6 +227,7 @@ Buf* Bcache::ReadLocked(int dev, std::uint64_t lba, Cycles* burn) {
     return nullptr;  // all buffers referenced
   }
   ++b->refcnt;
+  Sync(b);
   Touch(b);
   BlockDevStats& st = stats_[static_cast<std::size_t>(dev)];
   if (b->valid) {
@@ -163,6 +246,7 @@ Buf* Bcache::ReadLocked(int dev, std::uint64_t lba, Cycles* burn) {
     // kErrIo right now) and leave the slot recyclable.
     --b->refcnt;
     b->valid = false;
+    Sync(b);
     Trace(TraceEvent::kBlockError, lba, static_cast<std::uint64_t>(req.status));
     return nullptr;
   }
@@ -171,13 +255,13 @@ Buf* Bcache::ReadLocked(int dev, std::uint64_t lba, Cycles* burn) {
   Trace(TraceEvent::kBlockRead, lba, 1);
   b->valid = true;
   RD_WRITE(b->dirty) = false;
+  Sync(b);
   b->io_failed = false;
   return b;
 }
 
 Cycles Bcache::ThrottleIfNeeded(int dev) {
-  std::size_t dirty_count = DirtyCount(dev);
-  if (double(dirty_count) < cfg_.bcache_dirty_ratio * kNumBufs) {
+  if (double(DirtyCount(dev)) < cfg_.bcache_dirty_ratio * kNumBufs) {
     return 0;
   }
   // Foreground throttling: the writer that pushed the pool over the dirty
@@ -208,6 +292,7 @@ std::int64_t Bcache::WriteLocked(Buf* b, Cycles* burn) {
       // serves data the device never accepted.
       b->valid = false;
       RD_WRITE(b->dirty) = false;
+      Sync(b);
       Trace(TraceEvent::kBlockError, b->lba, static_cast<std::uint64_t>(req.status));
       return kErrIo;
     }
@@ -215,6 +300,7 @@ std::int64_t Bcache::WriteLocked(Buf* b, Cycles* burn) {
     ++st.blocks_written;
     Trace(TraceEvent::kBlockWrite, b->lba, 1);
     RD_WRITE(b->dirty) = false;
+    Sync(b);
     return 0;
   }
   *burn = cfg_.cost.bcache_lookup;
@@ -230,6 +316,7 @@ std::int64_t Bcache::WriteLocked(Buf* b, Cycles* burn) {
     RD_WRITE(b->dirty) = true;
     RD_WRITE(b->dirtied_at) = NowStamp();
   }
+  Sync(b);
   b->io_failed = false;  // fresh data supersedes an earlier failed write-back
   *burn += ThrottleIfNeeded(b->dev);
   return 0;
@@ -244,6 +331,7 @@ void Bcache::ReleaseLocked(Buf* b) {
   RD_ASSERT_HELD(lock_);
   VOS_CHECK_MSG(b->refcnt > 0, "brelse on unreferenced buffer");
   --b->refcnt;
+  Sync(b);
 }
 
 std::int64_t Bcache::ReadRange(int dev, std::uint64_t lba, std::uint32_t count,
@@ -337,6 +425,7 @@ std::int64_t Bcache::WriteRange(int dev, std::uint64_t lba, std::uint32_t count,
       // The incoming range supersedes a pinned image too (recovery replay is
       // the one caller that writes ranges over journaled home blocks).
       RD_WRITE(b.jpinned) = false;
+      Sync(&b);
     }
   }
   BlockDevStats& st = stats_[static_cast<std::size_t>(dev)];
@@ -419,21 +508,15 @@ std::int64_t Bcache::TakeAnyError() {
 std::size_t Bcache::DirtyCount(int dev) const {
   // Callable without lock_ (procfs gauges, tests): a stale count only skews
   // a gauge or the throttle heuristic, never correctness.
-  std::size_t n = 0;
-  for (const Buf& b : bufs_) {
-    n += (b.valid && b.dirty && !b.jpinned && (dev < 0 || b.dev == dev));  // racedet: ok (token-serialized gauge snapshot)
-  }
-  return n;
+  return dev < 0 ? static_cast<std::size_t>(std::popcount(dirty_))
+                 : dirty_count_[static_cast<std::size_t>(dev)];
 }
 
 std::size_t Bcache::PinnedCount(int dev) const {
   // Same contract as DirtyCount: lock-free snapshot for gauges and the
   // journal's backpressure heuristic; staleness never breaks correctness.
-  std::size_t n = 0;
-  for (const Buf& b : bufs_) {
-    n += (b.valid && b.jpinned && (dev < 0 || b.dev == dev));  // racedet: ok (token-serialized gauge snapshot)
-  }
-  return n;
+  return dev < 0 ? static_cast<std::size_t>(std::popcount(pinned_))
+                 : pinned_count_[static_cast<std::size_t>(dev)];
 }
 
 void Bcache::MarkJournaled(Buf* b, std::uint64_t seq) {
@@ -445,6 +528,7 @@ void Bcache::MarkJournaled(Buf* b, std::uint64_t seq) {
   }
   RD_WRITE(b->jpinned) = true;
   RD_WRITE(b->jseq) = seq;
+  Sync(b);
   b->io_failed = false;
 }
 
@@ -470,13 +554,7 @@ Cycles Bcache::CheckpointBlocks(int dev, const std::vector<CheckpointWrite>& wri
   sel.reserve(writes.size());
   pinned.reserve(writes.size());
   for (const CheckpointWrite& w : writes) {
-    Buf* cached = nullptr;
-    for (Buf& b : bufs_) {
-      if (b.valid && b.dev == dev && b.lba == w.lba) {
-        cached = &b;
-        break;
-      }
-    }
+    Buf* cached = Lookup(dev, w.lba);
     if (cached == nullptr || !RD_READ(cached->jpinned)) {
       continue;
     }
@@ -505,6 +583,7 @@ Cycles Bcache::CheckpointBlocks(int dev, const std::vector<CheckpointWrite>& wri
       if (RD_READ(b->jseq) <= sel[i]->seq) {
         RD_WRITE(b->jpinned) = false;
         RD_WRITE(b->dirty) = false;
+        Sync(b);
         b->io_failed = false;
       }
       ++flushed;

@@ -8,16 +8,21 @@
 // by sync/fsync, on eviction, or when the dirty ratio throttles writers.
 // Range I/O still bypasses the pool for large transfers, but must flush
 // overlapping dirty buffers first so the device never serves stale data.
+//
+// Host cost: a lookup goes through a (dev, lba) hash index over the valid
+// buffers, the LRU is an intrusive list (O(1) touch), and bitmasks plus
+// per-device counters track the free, dirty and pinned sets, so a hit, a
+// bwrite and its throttle check never scan the pool.
 #ifndef VOS_SRC_FS_BCACHE_H_
 #define VOS_SRC_FS_BCACHE_H_
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <string>
 #include <vector>
 
+#include "src/base/intrusive_list.h"
 #include "src/base/units.h"
 #include "src/fs/block_dev.h"
 #include "src/kernel/kconfig.h"
@@ -51,6 +56,7 @@ struct Buf {
   bool jpinned = false;        // racedet: shared (guarded by Bcache lock_)
   std::uint64_t jseq = 0;      // racedet: shared (guarded by Bcache lock_)
   std::array<std::uint8_t, kBlockSize> data{};
+  ListNode lru_hook;  // Bcache's LRU list; linked once the buffer is first used
 };
 
 // Per-device counters surfaced through /proc/blkstat.
@@ -168,6 +174,15 @@ class Bcache {
   Cycles FlushDevLocked(int dev);
   Buf* FindOrRecycle(int dev, std::uint64_t lba, Cycles* burn);
   void Touch(Buf* b);
+  // Every change to a buffer's valid, dirty, jpinned or refcnt goes through
+  // Sync, which brings the index, the bitmasks and the per-device counters
+  // back in line with the buffer. A buffer's dev/lba change only while it is
+  // invalid, so the index entry and the counters it left are keyed right.
+  void Sync(Buf* b);
+  // The valid buffer caching (dev, lba), or nullptr.
+  Buf* Lookup(int dev, std::uint64_t lba) const;
+  void IndexInsert(Buf* b);
+  void IndexErase(Buf* b);
   // Writes back a set of dirty buffers through the request queue (elevator
   // order + adjacent merging). `bufs` must all belong to `dev`.
   Cycles FlushBufs(int dev, std::vector<Buf*>& bufs);
@@ -185,7 +200,19 @@ class Bcache {
   std::vector<BlockDevStats> stats_;
   std::vector<std::int64_t> pending_error_;  // latched per-device kErrIo
   std::array<Buf, kNumBufs> bufs_;
-  std::list<Buf*> lru_;  // front = most recent
+  IntrusiveList<Buf, &Buf::lru_hook> lru_;  // front = most recent
+
+  // Bookkeeping Sync derives from the buffers. Bit i of a mask is bufs_[i].
+  static_assert(kNumBufs <= 64, "buffer masks are one 64-bit word");
+  static constexpr int kIndexBits = 7;  // 128 slots: at most half full
+  static_assert(2 * kNumBufs <= (1 << kIndexBits));
+  std::array<Buf*, (1 << kIndexBits)> index_{};  // linear probing; nullptr = empty
+  std::uint64_t indexed_ = 0;                    // valid: in index_
+  std::uint64_t free_ = ~std::uint64_t{0} >> (64 - kNumBufs);  // !valid, refcnt 0
+  std::uint64_t dirty_ = 0;   // valid, dirty, not pinned: what DirtyCount counts
+  std::uint64_t pinned_ = 0;  // valid, journal-pinned: what PinnedCount counts
+  std::vector<std::uint32_t> dirty_count_;   // per device
+  std::vector<std::uint32_t> pinned_count_;  // per device
   std::function<Cycles()> now_;
   std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace_;
   std::function<void(Cycles)> latency_hook_;

@@ -87,16 +87,17 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
                 "kernel configured for more cores than the board has");
   // Violations report through the tasks' shadow call stacks; off a fiber
   // (boot, IRQ dispatch on the machine thread) a synthetic frame marks it.
-  Lockdep::Instance().SetBacktraceProvider([]() -> std::vector<const char*> {
+  Lockdep::Instance().SetBacktraceProvider([]() -> StackFrames {
     if (Task* t = g_current_task) {
       return t->call_stack;
     }
-    return {"<machine-loop>"};
+    static const char* const kMachineLoop[] = {"<machine-loop>"};
+    return kMachineLoop;
   });
   // Racedet reporting rides the same infrastructure: contexts are named by
   // the running task, and a lockset-empty detection emits a trace event next
   // to the report text /proc/racedet serves.
-  Racedet::Instance().SetContextNameFn([]() -> std::string {
+  Racedet::Instance().SetContextNameFn([]() -> std::string_view {
     if (Task* t = g_current_task) {
       return t->name();
     }

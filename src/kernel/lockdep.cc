@@ -13,12 +13,7 @@ namespace {
 // own their thread. Execution is token-serialized, so global class/graph
 // state never sees concurrent mutation; the stacks are thread_local purely
 // because "what do I hold" is a per-context question.
-struct HeldEntry {
-  const void* lock;
-  int cls;
-  std::vector<const char*> bt;
-};
-thread_local std::vector<HeldEntry> g_held;
+thread_local std::vector<HeldLock> g_held;
 thread_local std::uint64_t g_held_generation = 0;
 thread_local bool g_in_irq = false;
 }  // namespace
@@ -50,11 +45,19 @@ int Lockdep::RegisterClass(const std::string& name) {
   return id;
 }
 
-std::vector<const char*> Lockdep::Backtrace() const {
-  if (backtrace_) {
-    return backtrace_();
+int Lockdep::ClassOf(const std::string& name, LockClassKey* key) {
+  if (key->generation != generation_) {
+    key->id = RegisterClass(name);
+    key->generation = generation_;
   }
-  return {};
+  return key->id;
+}
+
+StackHandle Lockdep::CurrentStack() const {
+  if (backtrace_) {
+    return StackDepot::Instance().Intern(backtrace_());
+  }
+  return StackDepot::kEmpty;
 }
 
 bool Lockdep::Reachable(int from, int to) const {
@@ -115,15 +118,8 @@ std::vector<int> Lockdep::Path(int from, int to) const {
   return path;
 }
 
-std::string Lockdep::FormatFrames(const std::vector<const char*>& bt) {
-  if (bt.empty()) {
-    return "    <no call stack>\n";
-  }
-  std::ostringstream os;
-  for (auto it = bt.rbegin(); it != bt.rend(); ++it) {
-    os << "    [" << (bt.rend() - it - 1) << "] " << *it << "\n";
-  }
-  return os.str();
+std::string Lockdep::FormatFrames(StackHandle bt) {
+  return FormatStack(StackDepot::Instance().Frames(bt));
 }
 
 std::string Lockdep::FormatChain(const std::vector<int>& path) const {
@@ -143,7 +139,8 @@ void Lockdep::Violation(const char* kind, const std::string& detail) {
   __builtin_unreachable();  // VOS_CHECK_MSG(false, ...) always throws
 }
 
-void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
+void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name,
+                        LockClassKey* key) {
   if (!enabled_) {
     return;
   }
@@ -151,9 +148,9 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
     g_held.clear();
     g_held_generation = generation_;
   }
-  int cls = RegisterClass(class_name);
+  int cls = ClassOf(class_name, key);
   Class& c = classes_[static_cast<std::size_t>(cls)];
-  std::vector<const char*> bt = Backtrace();
+  const StackHandle bt = CurrentStack();
 
   // IRQ-safety, direction 1: first acquisition from IRQ context of a class
   // previously seen held with IRQs enabled is the same deadlock window.
@@ -168,12 +165,18 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
   // Order check: for every lock already held, acquiring `cls` adds the edge
   // held -> cls. If the graph already proves cls ->* held, this nesting
   // closes a cycle — the classic A->B observed after B->A inversion.
-  for (const HeldEntry& h : g_held) {
-    if (h.cls == cls && h.lock != static_cast<const void*>(lock)) {
+  for (const HeldLock& h : g_held) {
+    if (h.cls == cls && h.lock != lock) {
       Violation("same-class nesting",
                 "  acquiring a second '" + c.name +
                     "' lock while one is already held\n  first acquisition:\n" +
                     FormatFrames(h.bt) + "  second acquisition:\n" + FormatFrames(bt));
+    }
+    // A known edge h.cls -> cls cannot close a cycle: violations throw before
+    // any edge is recorded, so the graph is acyclic and cls cannot reach
+    // h.cls. Only a new nesting needs the search.
+    if (classes_[static_cast<std::size_t>(h.cls)].out.contains(cls)) {
+      continue;
     }
     if (Reachable(cls, h.cls)) {
       std::vector<int> opposing = Path(cls, h.cls);
@@ -203,7 +206,7 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
 
   // Record edges from every held lock (not just the innermost): transitive
   // closure then catches inversions across intermediate hops sooner.
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : g_held) {
     Class& hc = classes_[static_cast<std::size_t>(h.cls)];
     Edge& e = hc.out[cls];
     if (e.count == 0) {
@@ -218,7 +221,7 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
     c.irq_used = true;
     c.irq_bt = bt;
   }
-  g_held.push_back(HeldEntry{lock, cls, std::move(bt)});
+  g_held.push_back(HeldLock{lock, cls, bt});
   c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(g_held.size()));
 }
 
@@ -229,7 +232,7 @@ void Lockdep::OnRelease(const SpinLock* lock) {
   // Locks release in LIFO order in practice, but tolerate out-of-order
   // (SleepOn releases the condition lock below the sched bookkeeping).
   for (auto it = g_held.rbegin(); it != g_held.rend(); ++it) {
-    if (it->lock == static_cast<const void*>(lock)) {
+    if (it->lock == lock) {
       g_held.erase(std::next(it).base());
       return;
     }
@@ -242,7 +245,7 @@ void Lockdep::OnSleep(const void* chan) {
     return;
   }
   std::ostringstream held;
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : g_held) {
     held << "  still holding '" << classes_[static_cast<std::size_t>(h.cls)].name
          << "' acquired at:\n"
          << FormatFrames(h.bt);
@@ -251,7 +254,7 @@ void Lockdep::OnSleep(const void* chan) {
   os << "  task is about to sleep on channel " << chan << " with " << g_held.size()
      << " spinlock(s) held\n"
      << held.str() << "  sleep site:\n"
-     << FormatFrames(Backtrace());
+     << FormatFrames(CurrentStack());
   Violation("sleep with spinlock held", os.str());
 }
 
@@ -262,7 +265,7 @@ void Lockdep::OnIrqEnable() {
   // Interrupts just became deliverable while this context still holds locks.
   // Mark every held class; if one is also taken from IRQ context, the IRQ
   // handler could spin on a lock its own core holds.
-  for (HeldEntry& h : g_held) {
+  for (const HeldLock& h : g_held) {
     Class& c = classes_[static_cast<std::size_t>(h.cls)];
     c.held_irqs_on = true;
     if (c.irq_used) {
@@ -276,24 +279,19 @@ void Lockdep::OnIrqEnable() {
   }
 }
 
-std::vector<const SpinLock*> Lockdep::HeldLockPtrs() const {
-  std::vector<const SpinLock*> out;
+std::span<const HeldLock> Lockdep::HeldLocks() const {
   if (!enabled_ || g_held_generation != generation_) {
-    return out;
+    return {};
   }
-  out.reserve(g_held.size());
-  for (const HeldEntry& h : g_held) {
-    out.push_back(static_cast<const SpinLock*>(h.lock));
-  }
-  return out;
+  return g_held;
 }
 
 bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
   if (!enabled_ || g_held_generation != generation_) {
     return false;
   }
-  for (const HeldEntry& h : g_held) {
-    if (h.lock == static_cast<const void*>(lock)) {
+  for (const HeldLock& h : g_held) {
+    if (h.lock == lock) {
       return true;
     }
   }
@@ -341,7 +339,7 @@ std::vector<std::string> Lockdep::HeldNames() const {
   if (g_held_generation != generation_) {
     return out;
   }
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : g_held) {
     out.push_back(classes_[static_cast<std::size_t>(h.cls)].name);
   }
   return out;

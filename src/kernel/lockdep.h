@@ -8,7 +8,10 @@
 //
 // Model:
 //  - Lock *classes* are keyed by the SpinLock's name (two pipes share the
-//    "pipe" class), registered at SpinLock construction.
+//    "pipe" class), registered at SpinLock construction. Each SpinLock caches
+//    its class id with the session generation it was resolved in (Linux's
+//    lockdep_map), so an acquire costs no name lookup; a lock built before a
+//    Reset re-resolves on its next acquire.
 //  - Each host context (the machine thread, or one task fiber — execution is
 //    token-serialized, so each holds its own thread_local stack) records the
 //    locks it currently holds, innermost last.
@@ -17,6 +20,9 @@
 //    check detects inversions: acquiring B while holding A after the graph
 //    already proves B ->* A is a potential deadlock, reported with both the
 //    current chain and the backtrace that established the opposing edge.
+//    A violation throws before any edge is recorded, so the graph stays
+//    acyclic; an edge held -> B that is already in the graph therefore cannot
+//    close a cycle, and a repeat nesting skips the reachability search.
 //  - Sleep safety: the scheduler's sleep path calls OnSleep(); any spinlock
 //    still held there is a bug (SleepOn releases the condition lock first).
 //  - IRQ safety: the machine loop brackets interrupt dispatch with
@@ -26,20 +32,39 @@
 //    that is the window where the IRQ handler spins against its own core.
 //
 // Violations throw FatalError via VOS_CHECK_MSG with both offending chains
-// and shadow-stack backtraces (unwind.h-style frames). The whole checker is
-// a no-op when disabled (KernelConfig::lockdep_enabled, for benchmarks).
+// and shadow-stack backtraces (unwind.h-style frames). Backtraces are kept as
+// stack-depot handles (stack_depot.h) and formatted only when a report is
+// written. The whole checker is a no-op when disabled
+// (KernelConfig::lockdep_enabled, for benchmarks).
 #ifndef VOS_SRC_KERNEL_LOCKDEP_H_
 #define VOS_SRC_KERNEL_LOCKDEP_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "src/kernel/stack_depot.h"
 
 namespace vos {
 
 class SpinLock;
+
+// A lock's cached class (Linux's lockdep_map): its name's class id, valid
+// while `generation` matches the session's.
+struct LockClassKey {
+  int id = -1;
+  std::uint64_t generation = ~std::uint64_t{0};  // matches no session: unresolved
+};
+
+// One entry of a context's held-lock stack.
+struct HeldLock {
+  const SpinLock* lock;
+  int cls;
+  StackHandle bt;  // where it was acquired
+};
 
 // Per-class statistics exported through /proc/lockdep.
 struct LockClassInfo {
@@ -61,15 +86,16 @@ class Lockdep {
   void SetEnabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  // Class registration; called from the SpinLock constructor. Safe to call
-  // repeatedly with the same name (locks of one class share the entry).
-  int RegisterClass(const std::string& name);
+  // The class id of `name`, through the lock's cached key; called from the
+  // SpinLock constructor and on acquire. Registers the class only when the
+  // key predates the current session (locks of one name share the entry).
+  int ClassOf(const std::string& name, LockClassKey* key);
 
   // --- Hook points (wired in spinlock.cc / sched.cc / machine.cc) ---
   // After the lock is successfully acquired. Performs the order-inversion
   // and IRQ-safety checks; throws FatalError on violation (the caller backs
   // out the acquisition so tests can continue past a detected bug).
-  void OnAcquire(const SpinLock* lock, const std::string& class_name);
+  void OnAcquire(const SpinLock* lock, const std::string& class_name, LockClassKey* key);
   // Before the lock is released. Tolerates locks acquired while disabled.
   void OnRelease(const SpinLock* lock);
   // The scheduler sleep path: no spinlock may be held when a task parks.
@@ -83,21 +109,23 @@ class Lockdep {
   void SetIrqContext(bool in_irq);
   bool InIrqContext() const;
 
-  // Shadow-stack backtrace provider (the kernel installs one that walks the
-  // current task's call_stack; frames are static string literals).
-  using BacktraceFn = std::function<std::vector<const char*>()>;
+  // Shadow-stack backtrace provider (the kernel installs one that returns a
+  // view of the current task's call_stack; frames are static string
+  // literals). The view need only last until the depot has interned it.
+  using BacktraceFn = std::function<StackFrames()>;
   void SetBacktraceProvider(BacktraceFn fn) { backtrace_ = std::move(fn); }
 
   // --- Racedet support (racedet.h) ---
-  // Lock *instances* currently held by this context, outermost first. The
+  // Locks currently held by this context, outermost first: a view of the
+  // held stack, valid until this context's next acquire or release. The
   // lockset algorithm intersects instances, not classes: two "sched-core"
   // locks guard different runqueues and must refine independently.
-  std::vector<const SpinLock*> HeldLockPtrs() const;
+  std::span<const HeldLock> HeldLocks() const;
   // True if this context holds `lock` right now (backs RD_ASSERT_HELD).
   bool IsHeldByCurrent(const SpinLock* lock) const;
-  // The current context's shadow-stack backtrace via the installed provider
-  // (racedet reports reuse lockdep's view of "where am I").
-  std::vector<const char*> CurrentBacktrace() const { return Backtrace(); }
+  // The current context's shadow-stack backtrace, interned (racedet reports
+  // reuse lockdep's view of "where am I").
+  StackHandle CurrentStack() const;
 
   // --- Introspection (/proc/lockdep, tests) ---
   std::size_t ClassCount() const { return classes_.size(); }
@@ -116,8 +144,8 @@ class Lockdep {
 
   struct Edge {
     std::uint64_t count = 0;
-    std::vector<const char*> holder_bt;  // acquire site of the held lock
-    std::vector<const char*> taker_bt;   // site that acquired the new lock
+    StackHandle holder_bt = StackDepot::kEmpty;  // acquire site of the held lock
+    StackHandle taker_bt = StackDepot::kEmpty;   // site that acquired the new lock
   };
   struct Class {
     std::string name;
@@ -125,21 +153,16 @@ class Lockdep {
     int max_hold_depth = 0;
     bool irq_used = false;
     bool held_irqs_on = false;
-    std::vector<const char*> irq_bt;  // first IRQ-context acquisition site
-    std::map<int, Edge> out;          // class id -> dependency edge
-  };
-  struct Held {
-    const SpinLock* lock;
-    int cls;
-    std::vector<const char*> bt;
+    StackHandle irq_bt = StackDepot::kEmpty;  // first IRQ-context acquisition site
+    std::map<int, Edge> out;                  // class id -> dependency edge
   };
 
-  std::vector<const char*> Backtrace() const;
+  int RegisterClass(const std::string& name);
   // DFS over the order graph: is `to` reachable from `from`?
   bool Reachable(int from, int to) const;
   // Shortest observed path from -> to (class ids), for violation reports.
   std::vector<int> Path(int from, int to) const;
-  static std::string FormatFrames(const std::vector<const char*>& bt);
+  static std::string FormatFrames(StackHandle bt);
   std::string FormatChain(const std::vector<int>& path) const;
   [[noreturn]] void Violation(const char* kind, const std::string& detail);
 

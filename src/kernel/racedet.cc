@@ -20,6 +20,11 @@ constexpr std::size_t kMaxHistory = 8;   // lockset shrink entries per cell
 // bump, exactly like lockdep's held stacks.
 thread_local std::uint64_t g_ctx_id = 0;
 thread_local std::uint64_t g_ctx_generation = 0;
+// The context's name as last interned: the provider's answer and its index.
+// A mismatch (a new session, or a task renamed by exec) re-interns.
+thread_local std::string g_name_raw;
+thread_local std::uint32_t g_name_id = 0;
+thread_local std::uint64_t g_name_generation = ~std::uint64_t{0};
 }  // namespace
 
 const char* RdStateName(RdState s) {
@@ -64,7 +69,9 @@ void Racedet::Reset(std::size_t cells) {
   shrinks_ = 0;
   dropped_ = 0;
   next_ctx_ = 1;
-  ++generation_;  // invalidates every thread's cached context id lazily
+  names_.clear();
+  name_ids_.clear();
+  ++generation_;  // invalidates every thread's cached context id and name lazily
 }
 
 std::uint64_t Racedet::CurrentCtx() {
@@ -75,14 +82,20 @@ std::uint64_t Racedet::CurrentCtx() {
   return g_ctx_id;
 }
 
-std::string Racedet::CurrentCtxName(std::uint64_t id) const {
-  if (ctx_name_) {
-    std::string n = ctx_name_();
-    if (!n.empty()) {
-      return n;
-    }
+std::uint32_t Racedet::CurrentName(std::uint64_t ctx) {
+  const std::string_view raw = ctx_name_ ? ctx_name_() : std::string_view();
+  if (g_name_generation == generation_ && raw == g_name_raw) {
+    return g_name_id;
   }
-  return "ctx" + std::to_string(id);
+  std::string name = raw.empty() ? "ctx" + std::to_string(ctx) : std::string(raw);
+  auto [it, added] = name_ids_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
+  if (added) {
+    names_.push_back(std::move(name));
+  }
+  g_name_raw.assign(raw);
+  g_name_id = it->second;
+  g_name_generation = generation_;
+  return g_name_id;
 }
 
 Racedet::Cell* Racedet::Lookup(std::uintptr_t addr, bool create, const char* name,
@@ -155,15 +168,9 @@ std::string Racedet::FormatLockset(const std::vector<const SpinLock*>& set) cons
 }
 
 namespace {
-std::string FormatFrames(const std::vector<const char*>& bt) {
-  if (bt.empty()) {
-    return "    <no call stack>\n";
-  }
-  std::ostringstream os;
-  for (auto it = bt.rbegin(); it != bt.rend(); ++it) {
-    os << "    [" << (bt.rend() - it - 1) << "] " << *it << "\n";
-  }
-  return os.str();
+std::vector<const char*> FramesOf(StackHandle h) {
+  const StackFrames f = StackDepot::Instance().Frames(h);
+  return {f.begin(), f.end()};
 }
 
 std::string SiteOf(const char* file, int line) {
@@ -184,7 +191,7 @@ void Racedet::RecordShrink(Cell& c, std::uint64_t ctx, const char* file, int lin
 }
 
 void Racedet::EmitReport(Cell& c, std::uint64_t ctx, const char* file, int line, bool is_write,
-                         const std::vector<const SpinLock*>& held) {
+                         std::span<const HeldLock> held) {
   c.state = RdState::kReported;  // one bug, one report: the cell goes quiet
   std::size_t index = total_reports_++;
   if (reports_.size() < kMaxReports) {
@@ -194,14 +201,18 @@ void Racedet::EmitReport(Cell& c, std::uint64_t ctx, const char* file, int line,
     r.site = SiteOf(file, line);
     r.racing_write = is_write;
     r.racing_ctx = CurrentCtxName(ctx);
-    r.racing_bt = Lockdep::Instance().CurrentBacktrace();
+    r.racing_bt = FramesOf(Lockdep::Instance().CurrentStack());
     r.prior_site = SiteOf(c.last_file, c.last_line);
     r.prior_write = c.last_write;
-    r.prior_ctx = c.last_ctx_name;
-    r.prior_bt = c.last_bt;
+    r.prior_ctx = names_[c.last_name];
+    r.prior_bt = FramesOf(c.last_bt);
     r.lockset_history = c.history;
+    std::vector<const SpinLock*> held_locks;
+    for (const HeldLock& h : held) {
+      held_locks.push_back(h.lock);
+    }
     std::ostringstream held_note;
-    held_note << "C(v) empty; racing access held " << FormatLockset(held);
+    held_note << "C(v) empty; racing access held " << FormatLockset(held_locks);
     r.lockset_history.push_back(held_note.str());
     reports_.push_back(std::move(r));
   }
@@ -239,7 +250,6 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
     case RdState::kVirgin:
       c->state = RdState::kExclusive;
       c->owner = ctx;
-      c->owner_name = CurrentCtxName(ctx);
       break;
     case RdState::kExclusive: {
       if (ctx == c->owner) {
@@ -248,8 +258,11 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
       // Second context: leave Exclusive. C(v) starts as the locks the new
       // context holds right now (the Eraser refinement begins here; the
       // initializing context's locking is deliberately not consulted).
-      std::vector<const SpinLock*> held = Lockdep::Instance().HeldLockPtrs();
-      c->lockset = held;
+      const std::span<const HeldLock> held = Lockdep::Instance().HeldLocks();
+      c->lockset.clear();
+      for (const HeldLock& h : held) {
+        c->lockset.push_back(h.lock);
+      }
       c->lockset_valid = true;
       {
         std::ostringstream os;
@@ -268,12 +281,13 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
     }
     case RdState::kShared:
     case RdState::kSharedModified: {
-      std::vector<const SpinLock*> held = Lockdep::Instance().HeldLockPtrs();
+      const std::span<const HeldLock> held = Lockdep::Instance().HeldLocks();
       std::size_t before = c->lockset.size();
       c->lockset.erase(std::remove_if(c->lockset.begin(), c->lockset.end(),
-                                      [&held](const SpinLock* l) {
-                                        return std::find(held.begin(), held.end(), l) ==
-                                               held.end();
+                                      [held](const SpinLock* l) {
+                                        return std::none_of(
+                                            held.begin(), held.end(),
+                                            [l](const HeldLock& h) { return h.lock == l; });
                                       }),
                        c->lockset.end());
       if (c->lockset.size() != before) {
@@ -295,12 +309,11 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   }
 
   // Remember this access as the "other side" of a future report.
-  c->last_ctx = ctx;
-  c->last_ctx_name = CurrentCtxName(ctx);
+  c->last_name = CurrentName(ctx);
   c->last_file = file;
   c->last_line = line;
   c->last_write = is_write;
-  c->last_bt = Lockdep::Instance().CurrentBacktrace();
+  c->last_bt = Lockdep::Instance().CurrentStack();
 }
 
 void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line) {
@@ -322,7 +335,8 @@ void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* fil
       os << (i > 0 ? ", " : "") << held[i];
     }
   }
-  os << "\n  call stack:\n" << FormatFrames(Lockdep::Instance().CurrentBacktrace());
+  os << "\n  call stack:\n"
+     << FormatStack(StackDepot::Instance().Frames(Lockdep::Instance().CurrentStack()));
   std::string msg = os.str();
   VOS_CHECK_MSG(false, msg.c_str());
 }
@@ -372,10 +386,10 @@ std::string Racedet::Report() const {
        << "\n";
     os << "  racing " << (r.racing_write ? "write" : "read") << " by '" << r.racing_ctx
        << "' at " << r.site << ":\n"
-       << FormatFrames(r.racing_bt);
+       << FormatStack(r.racing_bt);
     os << "  prior " << (r.prior_write ? "write" : "read") << " by '" << r.prior_ctx << "' at "
        << r.prior_site << ":\n"
-       << FormatFrames(r.prior_bt);
+       << FormatStack(r.prior_bt);
     os << "  lockset history:\n";
     for (const std::string& h : r.lockset_history) {
       os << "    " << h << "\n";

@@ -21,6 +21,10 @@
 //    location, both contexts, both shadow-stack backtraces (via the lockdep
 //    backtrace provider), and the lockset shrink history; a kRaceReport
 //    trace event fires and /proc/racedet serves the full text.
+//  - A cell remembers its last access as a context-name id (names interned
+//    per session, so a task that has since exited or exec'd still reads as
+//    it did then) and a stack-depot handle; both turn into text only when a
+//    report is written.
 //  - Reads in the read-only Shared state never report (read sharing after
 //    initialization is the classic benign pattern Eraser admits).
 //
@@ -46,12 +50,18 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/kernel/stack_depot.h"
 
 namespace vos {
 
 class SpinLock;
+struct HeldLock;
 
 // Eraser state machine for one shadow cell.
 enum class RdState : std::uint8_t {
@@ -116,8 +126,9 @@ class Racedet {
   using TraceHook = std::function<void(std::uintptr_t, std::size_t)>;
   void SetTraceHook(TraceHook hook) { trace_ = std::move(hook); }
   // Names the current context in reports (the kernel wires the running
-  // task's name; unset contexts print "ctx<N>").
-  using CtxNameFn = std::function<std::string()>;
+  // task's name; unset contexts, or an empty name, print "ctx<N>"). The view
+  // need only last until the call returns.
+  using CtxNameFn = std::function<std::string_view()>;
   void SetContextNameFn(CtxNameFn fn) { ctx_name_ = std::move(fn); }
 
   // --- Introspection (/proc/racedet, metrics gauges, tests) ---
@@ -146,16 +157,14 @@ class Racedet {
     int line = 0;
     RdState state = RdState::kVirgin;
     std::uint64_t owner = 0;      // context id while kExclusive
-    std::string owner_name;
     bool lockset_valid = false;   // C(v) initialized on first shared access
     std::vector<const SpinLock*> lockset;
     // Last disciplined access (the "other side" of an eventual report).
-    std::uint64_t last_ctx = 0;
-    std::string last_ctx_name;
+    std::uint32_t last_name = 0;  // index into names_
     const char* last_file = nullptr;
     int last_line = 0;
     bool last_write = false;
-    std::vector<const char*> last_bt;
+    StackHandle last_bt = StackDepot::kEmpty;
     std::vector<std::string> history;  // bounded lockset shrink log
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
@@ -165,13 +174,15 @@ class Racedet {
   Cell* Lookup(std::uintptr_t addr, bool create, const char* name, const char* file, int line);
   const Cell* Find(std::uintptr_t addr) const;
   std::uint64_t CurrentCtx();
-  std::string CurrentCtxName(std::uint64_t id) const;
+  // The current context's name, interned: an index into names_.
+  std::uint32_t CurrentName(std::uint64_t ctx);
+  const std::string& CurrentCtxName(std::uint64_t ctx) { return names_[CurrentName(ctx)]; }
   std::string FormatLockset(const std::vector<const SpinLock*>& set) const;
   void RecordShrink(Cell& c, std::uint64_t ctx, const char* file, int line,
                     std::size_t before, std::size_t after);
   std::string SiteOfReport(const RaceReport& r) const;
   void EmitReport(Cell& c, std::uint64_t ctx, const char* file, int line, bool is_write,
-                  const std::vector<const SpinLock*>& held);
+                  std::span<const HeldLock> held);
 
   bool enabled_ = true;
   std::vector<Cell> cells_;
@@ -184,6 +195,9 @@ class Racedet {
   std::uint64_t dropped_ = 0;
   std::uint64_t next_ctx_ = 1;
   std::uint64_t generation_ = 0;  // bumped by Reset; invalidates ctx ids
+  // Context names seen this session, each once; cells keep the index.
+  std::vector<std::string> names_;
+  std::map<std::string, std::uint32_t, std::less<>> name_ids_;
   TraceHook trace_;
   CtxNameFn ctx_name_;
 };

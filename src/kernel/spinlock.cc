@@ -28,7 +28,7 @@ void PopOff() {
 int IrqOffDepth() { return g_irq_off_depth; }
 
 SpinLock::SpinLock(std::string name) : name_(std::move(name)) {
-  Lockdep::Instance().RegisterClass(name_);
+  Lockdep::Instance().ClassOf(name_, &class_key_);
 }
 
 void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
@@ -45,7 +45,7 @@ void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
     // Order/IRQ validation before the lock is visibly held: a detected
     // violation throws, and backing out the PushOff leaves the context
     // balanced so tests can continue past the report.
-    Lockdep::Instance().OnAcquire(this, name_);
+    Lockdep::Instance().OnAcquire(this, name_, &class_key_);
   } catch (...) {
     --g_irq_off_depth;  // raw undo: OnIrqEnable must not re-fire mid-throw
     throw;

@@ -8,13 +8,15 @@
 // double-acquire, unlock-without-lock, and sleeping-with-lock are all caught.
 // Cross-lock discipline (ordering between classes, IRQ safety) is validated
 // by the lockdep layer (lockdep.h): the constructor registers the lock's
-// class by name, and Acquire/Release report to the per-context held stack
-// and the global acquisition-order graph.
+// class by name and caches its id, and Acquire/Release report to the
+// per-context held stack and the global acquisition-order graph.
 #ifndef VOS_SRC_KERNEL_SPINLOCK_H_
 #define VOS_SRC_KERNEL_SPINLOCK_H_
 
 #include <cstdint>
 #include <string>
+
+#include "src/kernel/lockdep.h"
 
 namespace vos {
 
@@ -38,6 +40,7 @@ class SpinLock {
 
  private:
   std::string name_;
+  LockClassKey class_key_;
   bool held_ = false;
   const void* owner_ = nullptr;  // Task* or the machine-thread marker
   std::uint64_t acquisitions_ = 0;

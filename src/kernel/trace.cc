@@ -7,6 +7,45 @@
 
 namespace vos {
 
+namespace {
+// Seqlock payload accesses. Each field of a slot is an atomic access of its
+// own: release stores on the writer side order the odd seq before every
+// payload word, and acquire loads on the reader side order every payload
+// word before the seq re-check. That is the whole seqlock protocol in the
+// language's memory model, with no standalone fence (Boehm, "Can seqlocks
+// get along with programming language memory models?", MSPC '12). On x86
+// both compile to plain moves.
+template <typename T>
+void StorePayload(T& field, T v) {
+  std::atomic_ref<T>(field).store(v, std::memory_order_release);
+}
+
+template <typename T>
+T LoadPayload(const T& field) {
+  return std::atomic_ref<T>(const_cast<T&>(field)).load(std::memory_order_acquire);
+}
+
+void StoreRecord(TraceRecord& dst, const TraceRecord& src) {
+  StorePayload(dst.ts, src.ts);
+  StorePayload(dst.core, src.core);
+  StorePayload(dst.event, src.event);
+  StorePayload(dst.pid, src.pid);
+  StorePayload(dst.a, src.a);
+  StorePayload(dst.b, src.b);
+}
+
+TraceRecord LoadRecord(const TraceRecord& src) {
+  TraceRecord r;
+  r.ts = LoadPayload(src.ts);
+  r.core = LoadPayload(src.core);
+  r.event = LoadPayload(src.event);
+  r.pid = LoadPayload(src.pid);
+  r.a = LoadPayload(src.a);
+  r.b = LoadPayload(src.b);
+  return r;
+}
+}  // namespace
+
 TraceRing::TraceRing(std::size_t per_core_capacity)
     : cap_(per_core_capacity == 0 ? 1 : per_core_capacity) {
   for (auto& r : rings_) {
@@ -25,12 +64,12 @@ void TraceRing::Emit(Cycles ts, unsigned core, TraceEvent ev, std::int32_t pid, 
   const std::uint64_t h = r.head.load(std::memory_order_relaxed);
   const std::uint64_t s = r.seq.load(std::memory_order_relaxed);
   r.seq.store(s + 1, std::memory_order_relaxed);
-  // Store-store barrier: the odd seq must be visible before the slot is
-  // torn. Like the Linux seqlock's smp_wmb — a compiler barrier on TSO
-  // hosts, dmb ishst on ARM — it orders the plain slot stores too.
-  std::atomic_thread_fence(std::memory_order_release);
-  // next_slot tracks head % cap_ without the division (producer-only state).
-  r.slots[r.next_slot] = TraceRecord{ts, static_cast<std::uint16_t>(core), ev, pid, a, b};
+  // The odd seq must be visible before the slot is torn: each payload store
+  // is a release, so none of them can move above the seq store (the job the
+  // Linux seqlock gives smp_wmb). next_slot tracks head % cap_ without the
+  // division (producer-only state).
+  StoreRecord(r.slots[r.next_slot],
+              TraceRecord{ts, static_cast<std::uint16_t>(core), ev, pid, a, b});
   r.next_slot = r.next_slot + 1 == cap_ ? 0 : r.next_slot + 1;
   // Both release stores: the slot contents precede the new head and the
   // even seq that publishes them.
@@ -51,10 +90,10 @@ std::vector<TraceRecord> TraceRing::Dump() const {
       std::uint64_t h = r.head.load(std::memory_order_acquire);
       std::uint64_t n = std::min<std::uint64_t>(h, cap_);
       tmp.clear();
+      // Acquire loads: no payload read can drift below the seq re-check.
       for (std::uint64_t i = 0; i < n; ++i) {
-        tmp.push_back(r.slots[(h - n + i) % cap_]);
+        tmp.push_back(LoadRecord(r.slots[(h - n + i) % cap_]));
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       // Unchanged seq == nothing was overwritten under us; keep the snapshot.
       if (r.seq.load(std::memory_order_relaxed) == s0) {
         out.insert(out.end(), tmp.begin(), tmp.end());

@@ -102,8 +102,8 @@ class TraceRing {
   // ring is the canonical intentionally-lock-free structure (seqlock writer,
   // wrapping reader); a lockset checker has nothing true to say about it, and
   // RD_* calls on the Emit hot path would also recurse through the racedet
-  // trace hook. The seqlock torture test covers it dynamically, and the TSan
-  // CI leg carries a matching suppression (tools/tsan.supp).
+  // trace hook. The seqlock torture test covers it dynamically; its payload
+  // words are atomic accesses, so TSan checks it with no suppression.
   struct alignas(64) CoreRing {
     std::atomic<std::uint64_t> head{0};  // total records written since Clear
     std::atomic<std::uint64_t> seq{0};   // seqlock: odd while a write is in flight

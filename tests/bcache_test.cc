@@ -1,9 +1,15 @@
 // Buffer-cache tests for the request-based write-back block layer:
 // hit/miss accounting, LRU recycling under pressure, dirty write-back in
 // elevator order with adjacent-request merging, range-I/O vs dirty-buffer
-// coherence, fsync durability, and the /proc/blkstat + sync/fsync surface.
+// coherence, fsync durability, the /proc/blkstat + sync/fsync surface, and a
+// seeded shadow-model run against the original list-and-scan cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <list>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -615,6 +621,597 @@ TEST(BcacheOsTest, ProcBlkstatReportsPerDeviceCounters) {
   EXPECT_GT(hits, 0u);
   EXPECT_GT(writebacks, 0u) << "sync produced no writebacks";
 }
+
+// --- Shadow model: the indexed cache against the list-and-scan original ----
+
+// The buffer cache's algorithm before it had an index: lookups scan the
+// pool, the LRU is a std::list of pointers, and the throttle scans for the
+// dirty count. Kept here only as the model Bcache must match, operation by
+// operation: same hits and misses, same device traffic (so the same victims,
+// flushed in the same order), same burn, same bytes.
+class RefBcache {
+ public:
+  struct RefBuf {
+    bool valid = false;
+    int dev = -1;
+    std::uint64_t lba = 0;
+    int refcnt = 0;
+    bool dirty = false;
+    bool io_failed = false;
+    Cycles dirtied_at = 0;
+    bool jpinned = false;
+    std::uint64_t jseq = 0;
+    std::array<std::uint8_t, kBlockSize> data{};
+  };
+
+  explicit RefBcache(const KernelConfig& cfg) : cfg_(cfg) {}
+
+  int AddDevice(BlockDevice* dev) {
+    queues_.emplace_back(dev);
+    pending_error_.push_back(0);
+    return static_cast<int>(queues_.size()) - 1;
+  }
+  void SetNowFn(std::function<Cycles()> now) { now_ = std::move(now); }
+
+  RefBuf* Read(int dev, std::uint64_t lba, Cycles* burn) {
+    *burn = cfg_.cost.bcache_lookup;
+    RefBuf* b = FindOrRecycle(dev, lba, burn);
+    if (b == nullptr) {
+      return nullptr;
+    }
+    ++b->refcnt;
+    lru_.remove(b);
+    lru_.push_front(b);
+    if (b->valid) {
+      ++hits_;
+      return b;
+    }
+    ++misses_;
+    BlockRequest req;
+    req.op = BlockOp::kRead;
+    req.lba = lba;
+    req.count = 1;
+    req.buf = b->data.data();
+    *burn += Queue(dev).SubmitAndWait(&req);
+    if (req.status != BlockStatus::kOk) {
+      --b->refcnt;
+      b->valid = false;
+      return nullptr;
+    }
+    b->valid = true;
+    b->dirty = false;
+    b->io_failed = false;
+    return b;
+  }
+
+  std::int64_t Write(RefBuf* b, Cycles* burn) {
+    if (!cfg_.opt_writeback_cache) {
+      BlockRequest req;
+      req.op = BlockOp::kWrite;
+      req.lba = b->lba;
+      req.count = 1;
+      req.buf = b->data.data();
+      *burn = Queue(b->dev).SubmitAndWait(&req);
+      b->dirty = false;
+      if (req.status != BlockStatus::kOk) {
+        b->valid = false;
+        return kErrIo;
+      }
+      return 0;
+    }
+    *burn = cfg_.cost.bcache_lookup;
+    b->jpinned = false;
+    if (!b->dirty) {
+      b->dirty = true;
+      b->dirtied_at = now_();
+    }
+    b->io_failed = false;
+    if (double(DirtyCount(b->dev)) >= cfg_.bcache_dirty_ratio * kNumBufs) {
+      *burn += FlushDev(b->dev);
+    }
+    return 0;
+  }
+
+  void Release(RefBuf* b) { --b->refcnt; }
+
+  std::int64_t ReadRange(int dev, std::uint64_t lba, std::uint32_t count, std::uint8_t* out,
+                         Cycles* burn) {
+    if (!cfg_.opt_bcache_bypass) {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        Cycles c = 0;
+        RefBuf* b = Read(dev, lba + i, &c);
+        *burn += c;
+        if (b == nullptr) {
+          return kErrIo;
+        }
+        std::copy(b->data.begin(), b->data.end(), out + std::size_t(i) * kBlockSize);
+        Release(b);
+      }
+      return 0;
+    }
+    std::vector<RefBuf*> overlap;
+    for (RefBuf& b : bufs_) {
+      if (b.valid && b.dirty && !b.jpinned && b.dev == dev && b.lba >= lba &&
+          b.lba < lba + count) {
+        overlap.push_back(&b);
+      }
+    }
+    *burn += FlushBufs(dev, overlap);
+    for (RefBuf* b : overlap) {
+      if (b->io_failed) {
+        return kErrIo;
+      }
+    }
+    return Range(BlockOp::kRead, dev, lba, count, out, burn);
+  }
+
+  std::int64_t WriteRange(int dev, std::uint64_t lba, std::uint32_t count,
+                          const std::uint8_t* in, Cycles* burn) {
+    if (!cfg_.opt_bcache_bypass) {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        Cycles c = 0;
+        RefBuf* b = Read(dev, lba + i, &c);
+        *burn += c;
+        if (b == nullptr) {
+          return kErrIo;
+        }
+        std::copy(in + std::size_t(i) * kBlockSize, in + std::size_t(i + 1) * kBlockSize,
+                  b->data.begin());
+        Cycles w = 0;
+        std::int64_t err = Write(b, &w);
+        Release(b);
+        *burn += w;
+        if (err < 0) {
+          return err;
+        }
+      }
+      return 0;
+    }
+    for (RefBuf& b : bufs_) {
+      if (b.valid && b.dev == dev && b.lba >= lba && b.lba < lba + count) {
+        ++invalidated_;
+        b.valid = false;
+        b.dirty = false;
+        b.jpinned = false;
+      }
+    }
+    return Range(BlockOp::kWrite, dev, lba, count, const_cast<std::uint8_t*>(in), burn);
+  }
+
+  Cycles FlushAll() {
+    Cycles total = 0;
+    for (std::size_t dev = 0; dev < queues_.size(); ++dev) {
+      total += FlushDev(static_cast<int>(dev));
+    }
+    return total;
+  }
+
+  Cycles FlushAged(Cycles now, Cycles min_age) {
+    Cycles total = 0;
+    for (std::size_t dev = 0; dev < queues_.size(); ++dev) {
+      std::vector<RefBuf*> aged;
+      for (RefBuf& b : bufs_) {
+        if (b.valid && b.dirty && !b.jpinned && b.dev == static_cast<int>(dev) &&
+            now - b.dirtied_at >= min_age) {
+          aged.push_back(&b);
+        }
+      }
+      total += FlushBufs(static_cast<int>(dev), aged);
+    }
+    return total;
+  }
+
+  void MarkJournaled(RefBuf* b, std::uint64_t seq) {
+    if (!b->dirty) {
+      b->dirty = true;
+      b->dirtied_at = now_();
+    }
+    b->jpinned = true;
+    b->jseq = seq;
+    b->io_failed = false;
+  }
+
+  Cycles CheckpointBlocks(int dev, const std::vector<Bcache::CheckpointWrite>& writes,
+                          std::int64_t* err) {
+    *err = 0;
+    std::vector<const Bcache::CheckpointWrite*> sel;
+    std::vector<RefBuf*> pinned;
+    for (const Bcache::CheckpointWrite& w : writes) {
+      RefBuf* cached = nullptr;
+      for (RefBuf& b : bufs_) {
+        if (b.valid && b.dev == dev && b.lba == w.lba) {
+          cached = &b;
+          break;
+        }
+      }
+      if (cached == nullptr || !cached->jpinned) {
+        continue;
+      }
+      sel.push_back(&w);
+      pinned.push_back(cached);
+    }
+    if (sel.empty()) {
+      return 0;
+    }
+    std::vector<BlockRequest> reqs(sel.size());
+    for (std::size_t i = 0; i < sel.size(); ++i) {
+      reqs[i].op = BlockOp::kWrite;
+      reqs[i].lba = sel[i]->lba;
+      reqs[i].count = 1;
+      reqs[i].buf = const_cast<std::uint8_t*>(sel[i]->data);
+      Queue(dev).Submit(&reqs[i]);
+    }
+    Cycles dev_time = Queue(dev).CompleteAll();
+    for (std::size_t i = 0; i < sel.size(); ++i) {
+      RefBuf* b = pinned[i];
+      if (reqs[i].status == BlockStatus::kOk) {
+        if (b->jseq <= sel[i]->seq) {
+          b->jpinned = false;
+          b->dirty = false;
+          b->io_failed = false;
+        }
+      } else {
+        b->io_failed = true;
+        pending_error_[static_cast<std::size_t>(dev)] = kErrIo;
+        *err = kErrIo;
+      }
+    }
+    return dev_time + Cycles(sel.size()) * cfg_.cost.bcache_flush_work;
+  }
+
+  std::int64_t TakeError(int dev) {
+    std::int64_t e = pending_error_[static_cast<std::size_t>(dev)];
+    pending_error_[static_cast<std::size_t>(dev)] = 0;
+    return e;
+  }
+
+  std::size_t DirtyCount(int dev) const {
+    std::size_t n = 0;
+    for (const RefBuf& b : bufs_) {
+      n += (b.valid && b.dirty && !b.jpinned && b.dev == dev);
+    }
+    return n;
+  }
+  std::size_t PinnedCount(int dev) const {
+    std::size_t n = 0;
+    for (const RefBuf& b : bufs_) {
+      n += (b.valid && b.jpinned && b.dev == dev);
+    }
+    return n;
+  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  // Cached buffers a bypassing range write invalidated.
+  std::uint64_t invalidated() const { return invalidated_; }
+
+ private:
+  BlockRequestQueue& Queue(int dev) { return queues_[static_cast<std::size_t>(dev)]; }
+
+  RefBuf* FindOrRecycle(int dev, std::uint64_t lba, Cycles* burn) {
+    for (RefBuf& b : bufs_) {
+      if (b.valid && b.dev == dev && b.lba == lba) {
+        return &b;
+      }
+    }
+    for (RefBuf& b : bufs_) {
+      if (b.refcnt == 0 && !b.valid) {
+        b.dev = dev;
+        b.lba = lba;
+        return &b;
+      }
+    }
+    RefBuf* victim = nullptr;
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      if ((*it)->refcnt != 0 || (*it)->jpinned) {
+        continue;
+      }
+      if (!(*it)->dirty) {
+        victim = *it;
+        break;
+      }
+      if (victim == nullptr) {
+        victim = *it;
+      }
+    }
+    if (victim == nullptr) {
+      return nullptr;
+    }
+    if (victim->dirty) {
+      std::vector<RefBuf*> one{victim};
+      *burn += FlushBufs(victim->dev, one);
+    }
+    victim->valid = false;
+    victim->io_failed = false;
+    victim->dev = dev;
+    victim->lba = lba;
+    return victim;
+  }
+
+  Cycles FlushDev(int dev) {
+    std::vector<RefBuf*> dirty;
+    for (RefBuf& b : bufs_) {
+      if (b.valid && b.dirty && !b.jpinned && b.dev == dev) {
+        dirty.push_back(&b);
+      }
+    }
+    return FlushBufs(dev, dirty);
+  }
+
+  Cycles FlushBufs(int dev, std::vector<RefBuf*>& bufs) {
+    if (bufs.empty()) {
+      return 0;
+    }
+    std::vector<BlockRequest> reqs(bufs.size());
+    for (std::size_t i = 0; i < bufs.size(); ++i) {
+      reqs[i].op = BlockOp::kWrite;
+      reqs[i].lba = bufs[i]->lba;
+      reqs[i].count = 1;
+      reqs[i].buf = bufs[i]->data.data();
+      Queue(dev).Submit(&reqs[i]);
+    }
+    Cycles dev_time = Queue(dev).CompleteAll();
+    for (std::size_t i = 0; i < bufs.size(); ++i) {
+      bufs[i]->dirty = false;
+      bufs[i]->io_failed = reqs[i].status != BlockStatus::kOk;
+      if (bufs[i]->io_failed) {
+        pending_error_[static_cast<std::size_t>(dev)] = kErrIo;
+      }
+    }
+    return dev_time + Cycles(bufs.size()) * cfg_.cost.bcache_flush_work;
+  }
+
+  std::int64_t Range(BlockOp op, int dev, std::uint64_t lba, std::uint32_t count,
+                     std::uint8_t* buf, Cycles* burn) {
+    BlockRequest req;
+    req.op = op;
+    req.lba = lba;
+    req.count = count;
+    req.buf = buf;
+    *burn += Queue(dev).SubmitAndWait(&req);
+    if (req.status != BlockStatus::kOk) {
+      return kErrIo;
+    }
+    return 0;
+  }
+
+  const KernelConfig& cfg_;
+  std::vector<BlockRequestQueue> queues_;
+  std::vector<std::int64_t> pending_error_;
+  std::array<RefBuf, kNumBufs> bufs_;
+  std::list<RefBuf*> lru_;  // front = most recent
+  std::function<Cycles()> now_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t invalidated_ = 0;
+};
+
+struct ShadowCase {
+  const char* name;
+  bool writeback;
+  bool bypass;
+  bool faults;
+};
+
+void PrintTo(const ShadowCase& c, std::ostream* os) { *os << c.name; }
+
+// One side of the comparison: RAM disks behind optional fault injection,
+// each logging the transfers that reach it.
+struct ShadowDisks {
+  static constexpr int kDevs = 2;
+  static constexpr std::uint64_t kBlocks = 96;  // 192 blocks over 64 buffers
+
+  explicit ShadowDisks(const KernelConfig& cfg, bool faults) : fi(cfg) {
+    if (faults) {
+      // The same seed on both sides: identical call sequences draw identical
+      // faults, so every failure path must line up too.
+      EXPECT_EQ(fi.Command("on\nseed 77\ntransient_rate 0.03\nstuck 0 90 2\nstuck 1 5 1\n"), 0);
+    }
+    for (int d = 0; d < kDevs; ++d) {
+      disks.push_back(std::make_unique<RamDisk>(kBlocks * kBlockSize));
+      faulty.push_back(std::make_unique<FaultInjectingBlockDevice>(disks.back().get(), &fi, d));
+      rec.push_back(std::make_unique<RecordingDevice>(faulty.back().get()));
+    }
+  }
+
+  FaultInjector fi;
+  std::vector<std::unique_ptr<RamDisk>> disks;
+  std::vector<std::unique_ptr<FaultInjectingBlockDevice>> faulty;
+  std::vector<std::unique_ptr<RecordingDevice>> rec;
+};
+
+class BcacheShadowTest : public ::testing::TestWithParam<ShadowCase> {};
+
+TEST_P(BcacheShadowTest, MatchesTheListAndScanModel) {
+  KernelConfig cfg;
+  cfg.opt_writeback_cache = GetParam().writeback;
+  cfg.opt_bcache_bypass = GetParam().bypass;
+  ShadowDisks real_disks(cfg, GetParam().faults);
+  ShadowDisks ref_disks(cfg, GetParam().faults);
+  Bcache real(cfg);
+  RefBcache ref(cfg);
+  Cycles now = 0;
+  real.SetNowFn([&now] { return now; });
+  ref.SetNowFn([&now] { return now; });
+  for (int d = 0; d < ShadowDisks::kDevs; ++d) {
+    ASSERT_EQ(real.AddDevice(real_disks.rec[static_cast<std::size_t>(d)].get()), d);
+    ASSERT_EQ(ref.AddDevice(ref_disks.rec[static_cast<std::size_t>(d)].get()), d);
+  }
+
+  struct Held {
+    Buf* real;
+    RefBcache::RefBuf* ref;
+  };
+  std::vector<Held> held;
+  struct Logged {
+    int dev;
+    Bcache::CheckpointWrite w;
+    std::vector<std::uint8_t> image;
+  };
+  std::vector<Logged> logged;  // journaled images awaiting a checkpoint
+  std::uint64_t seq = 0;
+  int range_writes = 0;
+  Rng rng(0xbcac4e);
+
+  // A hot set gives hits; the cold tail forces recycling.
+  auto pick_lba = [&rng] {
+    return rng.Chance(0.7) ? rng.NextBelow(24) : rng.NextBelow(ShadowDisks::kBlocks);
+  };
+  auto pick_dev = [&rng] { return static_cast<int>(rng.NextBelow(ShadowDisks::kDevs)); };
+  auto overlaps_held = [&held](int dev, std::uint64_t lba, std::uint32_t count) {
+    for (const Held& h : held) {
+      if (h.real->dev == dev && h.real->lba >= lba && h.real->lba < lba + count) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  constexpr int kOps = 10000;
+  for (int op = 0; op < kOps; ++op) {
+    SCOPED_TRACE(testing::Message() << "op " << op);
+    now += Us(50);
+    const std::uint64_t kind = rng.NextBelow(100);
+    const bool must_release = held.size() >= 12;
+    Cycles real_burn = 0;
+    Cycles ref_burn = 0;
+    if (!must_release && (kind < 40 || held.empty())) {
+      // bread, kept referenced for a while (a pinned working set).
+      const int dev = pick_dev();
+      const std::uint64_t lba = pick_lba();
+      Buf* rb = real.Read(dev, lba, &real_burn);
+      RefBcache::RefBuf* fb = ref.Read(dev, lba, &ref_burn);
+      ASSERT_EQ(rb == nullptr, fb == nullptr);
+      if (rb != nullptr) {
+        ASSERT_EQ(rb->dev, dev);
+        ASSERT_EQ(rb->lba, lba);
+        ASSERT_TRUE(std::equal(rb->data.begin(), rb->data.end(), fb->data.begin()));
+        held.push_back(Held{rb, fb});
+      }
+    } else if (kind < 60 && !must_release) {
+      // bwrite a referenced buffer with fresh bytes.
+      Held& h = held[rng.NextBelow(held.size())];
+      const auto fill = static_cast<std::uint8_t>(rng.Next());
+      h.real->data.fill(fill);
+      h.ref->data.fill(fill);
+      h.real->data[static_cast<std::size_t>(op) % kBlockSize] = static_cast<std::uint8_t>(op);
+      h.ref->data[static_cast<std::size_t>(op) % kBlockSize] = static_cast<std::uint8_t>(op);
+      ASSERT_EQ(real.Write(h.real, &real_burn), ref.Write(h.ref, &ref_burn));
+    } else if (kind < 75 || must_release) {
+      // brelse.
+      const std::size_t i = rng.NextBelow(held.size());
+      real.Release(held[i].real);
+      ref.Release(held[i].ref);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (kind < 81) {
+      const int dev = pick_dev();
+      const auto count = static_cast<std::uint32_t>(1 + rng.NextBelow(6));
+      const std::uint64_t lba = rng.NextBelow(ShadowDisks::kBlocks - count);
+      std::vector<std::uint8_t> a(count * kBlockSize);
+      std::vector<std::uint8_t> b(count * kBlockSize);
+      ASSERT_EQ(real.ReadRange(dev, lba, count, a.data(), &real_burn),
+                ref.ReadRange(dev, lba, count, b.data(), &ref_burn));
+      ASSERT_EQ(a, b);
+    } else if (kind < 88) {
+      const int dev = pick_dev();
+      const auto count = static_cast<std::uint32_t>(1 + rng.NextBelow(6));
+      const std::uint64_t lba = rng.NextBelow(ShadowDisks::kBlocks - count);
+      if (GetParam().bypass && overlaps_held(dev, lba, count)) {
+        continue;  // a range write over a referenced buffer is a caller bug
+      }
+      ++range_writes;
+      std::vector<std::uint8_t> in(count * kBlockSize);
+      for (std::uint8_t& byte : in) {
+        byte = static_cast<std::uint8_t>(rng.Next());
+      }
+      ASSERT_EQ(real.WriteRange(dev, lba, count, in.data(), &real_burn),
+                ref.WriteRange(dev, lba, count, in.data(), &ref_burn));
+    } else if (kind < 90) {
+      ASSERT_EQ(real.FlushAged(now, Ms(2)), ref.FlushAged(now, Ms(2)));
+    } else if (kind < 94 && GetParam().writeback) {
+      // Journal a referenced buffer: dirty and pinned until a checkpoint.
+      Held& h = held[rng.NextBelow(held.size())];
+      real.MarkJournaled(h.real, ++seq);
+      ref.MarkJournaled(h.ref, seq);
+      Logged l{h.real->dev, {}, std::vector<std::uint8_t>(h.real->data.begin(), h.real->data.end())};
+      l.w.lba = h.real->lba;
+      l.w.seq = seq;
+      logged.push_back(std::move(l));
+    } else if (kind < 97) {
+      // Checkpoint one device's journaled images, oldest first. A failed
+      // pass keeps its records for the next one, as the journal does.
+      const int dev = pick_dev();
+      std::vector<Bcache::CheckpointWrite> writes;
+      for (Logged& l : logged) {
+        if (l.dev == dev) {
+          l.w.data = l.image.data();
+          writes.push_back(l.w);
+        }
+      }
+      std::int64_t real_err = 0;
+      std::int64_t ref_err = 0;
+      ASSERT_EQ(real.CheckpointBlocks(dev, writes, &real_err),
+                ref.CheckpointBlocks(dev, writes, &ref_err));
+      ASSERT_EQ(real_err, ref_err);
+      if (real_err == 0) {
+        std::erase_if(logged, [dev](const Logged& l) { return l.dev == dev; });
+      }
+    } else if (kind < 98) {
+      const int dev = pick_dev();
+      ASSERT_EQ(real.TakeError(dev), ref.TakeError(dev));
+    } else if (GetParam().faults) {
+      // The device starts refusing a block the cache holds (so its next
+      // write-through, write-back or checkpoint fails), or heals them all.
+      std::string cmd = "clear_ranges\n";
+      if (rng.Chance(0.7)) {
+        const Held& h = held[rng.NextBelow(held.size())];
+        cmd = "stuck " + std::to_string(h.real->dev) + " " + std::to_string(h.real->lba) + " 1\n";
+      }
+      ASSERT_EQ(real_disks.fi.Command(cmd), 0);
+      ASSERT_EQ(ref_disks.fi.Command(cmd), 0);
+    }
+    ASSERT_EQ(real_burn, ref_burn);
+    ASSERT_EQ(real.hits(), ref.hits());
+    ASSERT_EQ(real.misses(), ref.misses());
+    for (int d = 0; d < ShadowDisks::kDevs; ++d) {
+      ASSERT_EQ(real.DirtyCount(d), ref.DirtyCount(d)) << "dev " << d;
+      ASSERT_EQ(real.PinnedCount(d), ref.PinnedCount(d)) << "dev " << d;
+    }
+  }
+
+  for (const Held& h : held) {
+    real.Release(h.real);
+    ref.Release(h.ref);
+  }
+  EXPECT_EQ(real.FlushAll(), ref.FlushAll());
+  for (int d = 0; d < ShadowDisks::kDevs; ++d) {
+    const auto i = static_cast<std::size_t>(d);
+    const std::vector<RecordingDevice::Entry>& a = real_disks.rec[i]->log;
+    const std::vector<RecordingDevice::Entry>& b = ref_disks.rec[i]->log;
+    ASSERT_EQ(a.size(), b.size()) << "dev " << d;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_TRUE(a[k].op == b[k].op && a[k].lba == b[k].lba && a[k].count == b[k].count)
+          << "dev " << d << " transfer " << k << ": lba " << a[k].lba << " vs " << b[k].lba;
+    }
+    EXPECT_TRUE(std::equal(real_disks.disks[i]->data().begin(), real_disks.disks[i]->data().end(),
+                           ref_disks.disks[i]->data().begin()))
+        << "dev " << d << " contents differ";
+  }
+  // The run must have exercised what it claims to.
+  EXPECT_GT(real.hits(), 1000u);
+  EXPECT_GT(real.misses(), 500u);
+  EXPECT_GT(range_writes, 200);
+  if (GetParam().bypass) {
+    EXPECT_GT(ref.invalidated(), 100u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, BcacheShadowTest,
+    ::testing::Values(ShadowCase{"writeback", true, true, false},
+                      ShadowCase{"writeback_faults", true, true, true},
+                      ShadowCase{"writeback_no_bypass", true, false, false},
+                      ShadowCase{"writethrough_faults", false, false, true}),
+    [](const ::testing::TestParamInfo<ShadowCase>& p) { return std::string(p.param.name); });
 
 }  // namespace
 }  // namespace vos

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/app_registry.h"
@@ -15,6 +16,7 @@
 #include "src/base/status.h"
 #include "src/kernel/lockdep.h"
 #include "src/kernel/spinlock.h"
+#include "src/kernel/stack_depot.h"
 #include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
@@ -30,7 +32,7 @@ class LockdepTest : public ::testing::Test {
   void SetUp() override {
     Lockdep::Instance().Reset();
     Lockdep::Instance().SetEnabled(true);
-    Lockdep::Instance().SetBacktraceProvider([this] { return frames_; });
+    Lockdep::Instance().SetBacktraceProvider([this] { return StackFrames(frames_); });
     ASSERT_EQ(IrqOffDepth(), 0);
   }
   void TearDown() override {
@@ -205,6 +207,140 @@ TEST_F(LockdepTest, ReportFormatsClassesAndEdges) {
   EXPECT_NE(rep.find("lockdep: on"), std::string::npos) << rep;
   EXPECT_NE(rep.find("rep_a"), std::string::npos) << rep;
   EXPECT_NE(rep.find("rep_a -> rep_b (seen 1x)"), std::string::npos) << rep;
+}
+
+TEST_F(LockdepTest, RepeatedNestingStillCatchesTheInversion) {
+  // The second A->B nesting takes the known-edge path (no graph search); the
+  // graph it leaves must still prove A -> B when B->A is tried.
+  SpinLock a("rep_nest_a");
+  SpinLock b("rep_nest_b");
+  for (int i = 0; i < 3; ++i) {
+    SpinGuard ga(a);
+    SpinGuard gb(b);
+  }
+  EXPECT_EQ(Lockdep::Instance().EdgeCount(), 1u);
+  EXPECT_NE(Lockdep::Instance().Report().find("rep_nest_a -> rep_nest_b (seen 3x)"),
+            std::string::npos);
+  SpinGuard gb(b);
+  EXPECT_THROW(a.Acquire(), FatalError);  // lockdep: naked-ok (seeding a violation)
+}
+
+TEST_F(LockdepTest, LockBuiltBeforeResetLandsInItsOwnClass) {
+  // `early` caches class id 0 of this session. After a Reset, `late` takes
+  // id 0; a stale cache would file early's acquires under late's class.
+  SpinLock early("cache_early");
+  Lockdep::Instance().Reset();
+  SpinLock late("cache_late");
+  {
+    SpinGuard gl(late);
+    SpinGuard ge(early);
+  }
+  std::uint64_t early_acq = 0;
+  std::uint64_t late_acq = 0;
+  for (const LockClassInfo& c : Lockdep::Instance().Classes()) {
+    if (c.name == "cache_early") {
+      early_acq = c.acquisitions;
+    } else if (c.name == "cache_late") {
+      late_acq = c.acquisitions;
+    }
+  }
+  EXPECT_EQ(early_acq, 1u);
+  EXPECT_EQ(late_acq, 1u);
+  EXPECT_EQ(Lockdep::Instance().ClassCount(), 2u);
+  EXPECT_TRUE(Lockdep::Instance().HasPath("cache_late", "cache_early"));
+  EXPECT_EQ(Lockdep::Instance().HeldNames(), std::vector<std::string>{});
+}
+
+// --- Stack depot: shadow call stacks interned into 32-bit handles ----------
+
+std::vector<const char*> FramesOf(StackHandle h) {
+  const StackFrames f = StackDepot::Instance().Frames(h);
+  return {f.begin(), f.end()};
+}
+
+TEST(StackDepot, EqualStacksShareAHandle) {
+  StackDepot& depot = StackDepot::Instance();
+  const std::vector<const char*> one = {"depot_main", "depot_read", "depot_lock"};
+  const std::vector<const char*> same = one;  // equal contents, other storage
+  const StackHandle h = depot.Intern(one);
+  EXPECT_EQ(depot.Intern(same), h);
+  const std::size_t size = depot.size();
+  EXPECT_EQ(depot.Intern(one), h);
+  EXPECT_EQ(depot.size(), size) << "a repeat intern must not grow the depot";
+  EXPECT_EQ(depot.Intern({}), StackDepot::kEmpty);
+  EXPECT_TRUE(depot.Frames(StackDepot::kEmpty).empty());
+}
+
+TEST(StackDepot, DistinctStacksDiffer) {
+  StackDepot& depot = StackDepot::Instance();
+  const std::vector<const char*> base = {"depot_x", "depot_y"};
+  const std::vector<const char*> longer = {"depot_x", "depot_y", "depot_z"};
+  const std::vector<const char*> swapped = {"depot_y", "depot_x"};
+  const std::vector<const char*> prefix = {"depot_x"};
+  std::vector<StackHandle> hs = {depot.Intern(base), depot.Intern(longer),
+                                 depot.Intern(swapped), depot.Intern(prefix)};
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    EXPECT_NE(hs[i], StackDepot::kEmpty);
+    for (std::size_t j = i + 1; j < hs.size(); ++j) {
+      EXPECT_NE(hs[i], hs[j]) << i << " vs " << j;
+    }
+  }
+}
+
+TEST(StackDepot, HandlesRoundTripToFramesThroughGrowth) {
+  // Enough distinct stacks to rehash the index several times: every handle
+  // must still read back its own frames and re-intern to itself.
+  static const char* const kFrames[] = {"depot_f0", "depot_f1", "depot_f2", "depot_f3",
+                                        "depot_f4", "depot_f5", "depot_f6", "depot_f7"};
+  StackDepot& depot = StackDepot::Instance();
+  std::vector<std::vector<const char*>> stacks;
+  for (unsigned v = 1; v < 256; ++v) {  // every non-empty subset of 8 frames
+    std::vector<const char*> st;
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      if ((v >> bit) & 1) {
+        st.push_back(kFrames[bit]);
+      }
+    }
+    stacks.push_back(st);
+  }
+  for (std::size_t rep = 0; rep < 4; ++rep) {  // then longer ones, reversed
+    for (unsigned v = 1; v < 256; ++v) {
+      std::vector<const char*> st = stacks[v - 1];
+      st.insert(st.begin(), kFrames[rep]);
+      std::reverse(st.begin(), st.end());
+      stacks.push_back(st);
+    }
+  }
+  std::vector<StackHandle> hs;
+  for (const auto& st : stacks) {
+    hs.push_back(depot.Intern(st));
+  }
+  for (std::size_t i = 0; i < stacks.size(); ++i) {
+    EXPECT_EQ(FramesOf(hs[i]), stacks[i]) << i;
+    EXPECT_EQ(depot.Intern(stacks[i]), hs[i]) << i;
+  }
+}
+
+TEST(StackDepot, HandlesSurviveLockdepReset) {
+  const std::vector<const char*> st = {"depot_survivor", "depot_frame"};
+  const StackHandle h = StackDepot::Instance().Intern(st);
+  Lockdep::Instance().Reset();
+  EXPECT_EQ(FramesOf(h), st);
+  EXPECT_EQ(StackDepot::Instance().Intern(st), h);
+}
+
+TEST(StackDepot, InternFromAnotherThreadIsOrderedByTheHandoff) {
+  // Task fibers are host threads handing one token around; the depot relies
+  // on that handoff (here: thread start and join) to order its accesses.
+  const std::vector<const char*> st = {"depot_fiber_main", "depot_fiber_call"};
+  StackHandle from_thread = StackDepot::kEmpty;
+  std::thread t([&] { from_thread = StackDepot::Instance().Intern(st); });
+  t.join();
+  EXPECT_EQ(StackDepot::Instance().Intern(st), from_thread);
+  std::vector<const char*> seen;
+  std::thread reader([&] { seen = FramesOf(from_thread); });
+  reader.join();
+  EXPECT_EQ(seen, st);
 }
 
 // --- Full-boot integration: the kernel's own locks populate the graph ------

@@ -28,16 +28,42 @@ std::vector<std::uint8_t> EagerScramble(std::uint64_t size, std::uint64_t seed) 
 }
 
 TEST(RngJump, MatchesStepping) {
-  for (std::uint64_t seed : {0ull, 1ull, 0x9e3779b97f4a7c15ull, 0xffffffffffffffffull}) {
+  std::vector<std::uint64_t> seeds = {0ull, 1ull, 0x9e3779b97f4a7c15ull,
+                                      0xffffffffffffffffull, 0x8000000000000000ull};
+  // Random states exercise every byte table with mixed bits.
+  Rng pick(0x5eedf00d);
+  for (int i = 0; i < 12; ++i) {
+    seeds.push_back(pick.Next());
+  }
+  const std::vector<std::uint64_t> targets = {0ull,   1ull,    2ull,    7ull,   63ull,
+                                              255ull, 256ull,  512ull,  1000ull, 4097ull,
+                                              8191ull};
+  std::vector<RngJump> jumps;
+  for (std::uint64_t target : targets) {
+    jumps.emplace_back(target);
+  }
+  for (std::uint64_t seed : seeds) {
     Rng stepped(seed);
     std::uint64_t calls = 0;
-    for (std::uint64_t target : {0ull, 1ull, 2ull, 63ull, 512ull, 1000ull, 4097ull}) {
-      for (; calls < target; ++calls) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      for (; calls < targets[t]; ++calls) {
         stepped.Next();
       }
-      EXPECT_EQ(RngJump(target)(Rng(seed).state()), stepped.state())
-          << "seed " << seed << " calls " << target;
+      EXPECT_EQ(jumps[t](Rng(seed).state()), stepped.state())
+          << "seed " << seed << " calls " << targets[t];
     }
+  }
+  // A jump applied to an arbitrary (mid-sequence) state, chained: the
+  // page-start walk Scramble takes.
+  const RngJump page(kPage / 8);
+  Rng walk(0x1234);
+  std::uint64_t state = walk.state();
+  for (int p = 0; p < 5; ++p) {
+    for (std::uint64_t w = 0; w < kPage / 8; ++w) {
+      walk.Next();
+    }
+    state = page(state);
+    EXPECT_EQ(state, walk.state()) << "page " << p;
   }
 }
 

@@ -36,7 +36,7 @@ class RacedetTest : public ::testing::Test {
   void SetUp() override {
     Lockdep::Instance().Reset();
     Lockdep::Instance().SetEnabled(true);
-    Lockdep::Instance().SetBacktraceProvider([this] { return frames_; });
+    Lockdep::Instance().SetBacktraceProvider([this] { return StackFrames(frames_); });
     Racedet::Instance().Reset(256);
     Racedet::Instance().SetEnabled(true);
   }
@@ -262,7 +262,7 @@ TEST_F(RacedetTest, DisabledRecordsNothing) {
 }
 
 TEST_F(RacedetTest, ReportTextCarriesTheWholeStory) {
-  Racedet::Instance().SetContextNameFn([]() -> std::string { return ""; });  // default names
+  Racedet::Instance().SetContextNameFn([]() -> std::string_view { return ""; });  // default names
   SpinLock lk("rd_text");
   int counter = 0;
   {
