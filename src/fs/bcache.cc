@@ -5,34 +5,57 @@
 
 #include "src/base/assert.h"
 #include "src/base/status.h"
+#include "src/kernel/metrics.h"
 #include "src/kernel/racedet.h"
 
 namespace vos {
 
 int Bcache::AddDevice(BlockDevice* dev, const std::string& name) {
-  SpinGuard g(lock_);
-  queues_.emplace_back(dev);
-  pending_error_.push_back(0);
-  dirty_count_.push_back(0);
-  pinned_count_.push_back(0);
-  if (latency_hook_) {
-    auto hook = latency_hook_;
-    queues_.back().SetCompletionHook(
-        [hook](const BlockRequest&, Cycles lat) { hook(lat); });
+  int id;
+  {
+    SpinGuard g(lock_);
+    queues_.emplace_back(dev);
+    queues_.back().SetLatencyHist(latency_hist_);
+    pending_error_.push_back(0);
+    dirty_count_.push_back(0);
+    pinned_count_.push_back(0);
+    BlockDevStats st;
+    st.name = name.empty() ? "dev" + std::to_string(queues_.size() - 1) : name;
+    stats_.push_back(std::move(st));
+    id = static_cast<int>(queues_.size()) - 1;
   }
-  BlockDevStats st;
-  st.name = name.empty() ? "dev" + std::to_string(queues_.size() - 1) : name;
-  stats_.push_back(std::move(st));
-  return static_cast<int>(queues_.size()) - 1;
+  if (metrics_ != nullptr) {
+    RegisterDevMetrics(id);
+  }
+  return id;
 }
 
-void Bcache::SetLatencyHook(std::function<void(Cycles)> hook) {
-  SpinGuard g(lock_);
-  latency_hook_ = std::move(hook);
-  for (BlockRequestQueue& q : queues_) {
-    auto h = latency_hook_;
-    q.SetCompletionHook([h](const BlockRequest&, Cycles lat) { h(lat); });
-  }
+void Bcache::RegisterMetrics(Metrics& m) {
+  VOS_CHECK_MSG(queues_.empty(), "bcache metrics are registered before the first device");
+  metrics_ = &m;
+  latency_hist_ = m.Hist("block.req_latency");
+}
+
+void Bcache::RegisterDevMetrics(int dev) {
+  // Gauges are sampled outside the metrics lock, so stats(dev) taking the
+  // bcache lock in the callback keeps "metrics" a lockdep leaf. Registration
+  // itself runs outside the bcache lock for the same reason.
+  Metrics& m = *metrics_;
+  std::string pfx = "block." + stats(dev).name + ".";
+  m.Gauge(pfx + "reads", [this, dev] { return stats(dev).reads; });
+  m.Gauge(pfx + "writes", [this, dev] { return stats(dev).writes; });
+  m.Gauge(pfx + "blocks_read", [this, dev] { return stats(dev).blocks_read; });
+  m.Gauge(pfx + "blocks_written", [this, dev] { return stats(dev).blocks_written; });
+  m.Gauge(pfx + "hits", [this, dev] { return stats(dev).hits; });
+  m.Gauge(pfx + "misses", [this, dev] { return stats(dev).misses; });
+  m.Gauge(pfx + "writebacks", [this, dev] { return stats(dev).writebacks; });
+  m.Gauge(pfx + "merged", [this, dev] { return stats(dev).merged; });
+  m.Gauge(pfx + "queue_depth_hw",
+          [this, dev] { return static_cast<std::uint64_t>(stats(dev).queue_depth_hw); });
+  m.Gauge(pfx + "dirty", [this, dev] { return static_cast<std::uint64_t>(DirtyCount(dev)); });
+  m.Gauge(pfx + "io_retries", [this, dev] { return stats(dev).io_retries; });
+  m.Gauge(pfx + "io_errors", [this, dev] { return stats(dev).io_errors; });
+  m.Gauge(pfx + "io_timeouts", [this, dev] { return stats(dev).io_timeouts; });
 }
 
 void Bcache::Touch(Buf* b) {

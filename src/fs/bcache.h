@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/histogram.h"
 #include "src/base/intrusive_list.h"
 #include "src/base/units.h"
 #include "src/fs/block_dev.h"
@@ -30,6 +31,8 @@
 #include "src/kernel/trace.h"
 
 namespace vos {
+
+class Metrics;
 
 constexpr int kNumBufs = 64;
 
@@ -80,7 +83,8 @@ class Bcache {
  public:
   explicit Bcache(const KernelConfig& cfg) : cfg_(cfg) {}
 
-  // Registers a device; returns its dev id. `name` labels it in /proc/blkstat.
+  // Registers a device; returns its dev id. `name` labels it in /proc/blkstat
+  // and, once RegisterMetrics has run, in its "block.<name>.*" gauges.
   int AddDevice(BlockDevice* dev, const std::string& name = "");
   BlockDevice* Device(int dev) const { return queues_[static_cast<std::size_t>(dev)].device(); }
   int device_count() const { return static_cast<int>(queues_.size()); }
@@ -92,11 +96,10 @@ class Bcache {
   void SetTraceHook(std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace) {
     trace_ = std::move(trace);
   }
-  // Per-request queue→completion latency, fed to the block.req_latency
-  // histogram. Installed on every device queue, present and future. The
-  // callback fires under the bcache lock — it must be wait-free (it is:
-  // Histogram::Record).
-  void SetLatencyHook(std::function<void(Cycles)> hook);
+  // Registers the block.req_latency histogram, which every device queue
+  // records into (wait-free, under the bcache lock), and makes AddDevice
+  // register each device's block.<name>.* gauges. Call before AddDevice.
+  void RegisterMetrics(Metrics& m);
 
   // bread: returns a referenced buffer containing the block, or nullptr when
   // the device read failed after retries (the caller maps that to kErrIo) or
@@ -187,6 +190,7 @@ class Bcache {
   // order + adjacent merging). `bufs` must all belong to `dev`.
   Cycles FlushBufs(int dev, std::vector<Buf*>& bufs);
   Cycles ThrottleIfNeeded(int dev);
+  void RegisterDevMetrics(int dev);
   Cycles NowStamp() const { return now_ ? now_() : 0; }
   void Trace(TraceEvent ev, std::uint64_t a, std::uint64_t b) const {
     if (trace_) {
@@ -215,7 +219,8 @@ class Bcache {
   std::vector<std::uint32_t> pinned_count_;  // per device
   std::function<Cycles()> now_;
   std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace_;
-  std::function<void(Cycles)> latency_hook_;
+  Metrics* metrics_ = nullptr;
+  Histogram* latency_hist_ = nullptr;
 };
 
 }  // namespace vos

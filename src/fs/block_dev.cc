@@ -139,9 +139,7 @@ Cycles BlockRequestQueue::CompleteAll() {
     if (j == i + 1) {
       BlockRequest* r = pending_[i];
       burst = ServiceOne(r);
-      if (on_complete_) {
-        on_complete_(*r, total + burst);
-      }
+      RecordLatency(total + burst);
     } else {
       // Merged burst: one range transfer through a staging buffer, gathering
       // write payloads / scattering read results per request.
@@ -178,9 +176,7 @@ Cycles BlockRequestQueue::CompleteAll() {
           attributed += r->service_time;
           r->status = BlockStatus::kOk;
           r->done = true;
-          if (on_complete_) {
-            on_complete_(*r, total + burst);
-          }
+          RecordLatency(total + burst);
         }
       } else {
         // The burst failed somewhere in the range. Demote: re-service each
@@ -191,9 +187,7 @@ Cycles BlockRequestQueue::CompleteAll() {
         for (std::size_t k = i; k < j; ++k) {
           BlockRequest* r = pending_[k];
           burst += ServiceOne(r);
-          if (on_complete_) {
-            on_complete_(*r, total + burst);
-          }
+          RecordLatency(total + burst);
         }
       }
     }

@@ -16,11 +16,11 @@
 #define VOS_SRC_FS_BLOCK_DEV_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "src/base/byte_store.h"
+#include "src/base/histogram.h"
 #include "src/base/units.h"
 #include "src/hw/sd_card.h"
 
@@ -161,12 +161,10 @@ class BlockRequestQueue {
   // Convenience: submit + complete a single request.
   Cycles SubmitAndWait(BlockRequest* req);
 
-  // Called once per request as it completes, with the queue→completion
-  // latency: device time elapsed in this CompleteAll sweep up to and
-  // including the request's burst (elevator position included). Feeds the
-  // block.req_latency histogram.
-  using CompletionHook = std::function<void(const BlockRequest&, Cycles)>;
-  void SetCompletionHook(CompletionHook hook) { on_complete_ = std::move(hook); }
+  // Records each request's queue→completion latency as it completes: device
+  // time elapsed in this CompleteAll sweep up to and including the request's
+  // burst (elevator position included). The block.req_latency histogram.
+  void SetLatencyHist(Histogram* hist) { latency_hist_ = hist; }
 
   BlockDevice* device() const { return dev_; }
   std::size_t pending() const { return pending_.size(); }
@@ -185,6 +183,11 @@ class BlockRequestQueue {
   // Services one request with the full retry/backoff/timeout discipline;
   // returns the device+backoff time spent (also stored in r->service_time).
   Cycles ServiceOne(BlockRequest* r);
+  void RecordLatency(Cycles lat) {
+    if (latency_hist_ != nullptr) {
+      latency_hist_->Record(lat);
+    }
+  }
 
   BlockDevice* dev_;
   std::vector<BlockRequest*> pending_;
@@ -193,7 +196,7 @@ class BlockRequestQueue {
   std::uint64_t retries_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t timeouts_ = 0;
-  CompletionHook on_complete_;
+  Histogram* latency_hist_ = nullptr;
 };
 
 }  // namespace vos

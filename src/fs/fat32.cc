@@ -101,7 +101,10 @@ std::string FatMake83(const std::string& long_name, int dedup_index) {
       break;
     }
   }
-  std::string tail = "~" + std::to_string(dedup_index);
+  // Appended rather than `"~" + std::to_string(...)`, which GCC 12 at -O3
+  // misreads as an overlapping memcpy (-Wrestrict).
+  std::string tail(1, '~');
+  tail += std::to_string(dedup_index);
   if (base.size() + tail.size() > 8) {
     base = base.substr(0, 8 - tail.size());
   }

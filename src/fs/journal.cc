@@ -6,6 +6,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/status.h"
+#include "src/kernel/metrics.h"
 #include "src/kernel/racedet.h"
 
 namespace vos {
@@ -272,8 +273,8 @@ std::int64_t Journal::CommitLocked(Cycles* burn) {
   ++RD_WRITE(stats_).commits;
   RD_WRITE(stats_).txs += RD_READ(open_)->txs;
   RD_WRITE(stats_).blocks_logged += n;
-  if (commit_latency_ && now_) {
-    commit_latency_(NowStamp() - RD_READ(open_)->opened_at);
+  if (commit_latency_ != nullptr) {
+    commit_latency_->Record(NowStamp() - RD_READ(open_)->opened_at);
   }
   Trace(TraceEvent::kJrnlCommit, desc.seq, n);
   RD_WRITE(committed_).push_back(std::move(RD_WRITE(open_)));
@@ -385,6 +386,25 @@ void Journal::TryReclaimLocked(Cycles* burn) {
   RD_WRITE(head_seq_) = RD_READ(unreclaimed_seq_);
   RD_WRITE(live_slots_) -= RD_READ(unreclaimed_slots_);
   RD_WRITE(unreclaimed_slots_) = 0;
+}
+
+void Journal::RegisterMetrics(Metrics& m) {
+  commit_latency_ = m.Hist("jrnl.commit_latency");
+  m.Gauge("jrnl.commits", [this] { return stats().commits; });
+  m.Gauge("jrnl.commit_errors", [this] { return stats().commit_errors; });
+  m.Gauge("jrnl.txs", [this] { return stats().txs; });
+  m.Gauge("jrnl.log_writes", [this] { return stats().log_writes; });
+  m.Gauge("jrnl.blocks_logged", [this] { return stats().blocks_logged; });
+  m.Gauge("jrnl.coalesced", [this] { return stats().coalesced; });
+  m.Gauge("jrnl.checkpoints", [this] { return stats().checkpoints; });
+  m.Gauge("jrnl.checkpoint_blocks", [this] { return stats().checkpoint_blocks; });
+  m.Gauge("jrnl.backpressure_syncs", [this] { return stats().backpressure_syncs; });
+  m.Gauge("jrnl.live_slots", [this] { return stats().live_slots; });
+  m.Gauge("jrnl.open_blocks", [this] { return stats().open_blocks; });
+  m.Gauge("jrnl.backlog_blocks", [this] { return stats().backlog_blocks; });
+  m.Gauge("jrnl.capacity_slots", [this] { return capacity(); });
+  m.Gauge("jrnl.log_util_pct",
+          [this] { return std::uint64_t(stats().live_slots) * 100 / capacity(); });
 }
 
 Journal::Stats Journal::stats() const {

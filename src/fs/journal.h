@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 
+#include "src/base/histogram.h"
 #include "src/base/units.h"
 #include "src/fs/bcache.h"
 #include "src/fs/xv6fs.h"
@@ -50,6 +51,8 @@
 #include "src/kernel/trace.h"
 
 namespace vos {
+
+class Metrics;
 
 constexpr std::uint32_t kJrnlMagic = 0x6c6e726a;      // "jrnl"
 constexpr std::uint32_t kJrnlDescMagic = 0x63736564;  // "desc"
@@ -149,10 +152,9 @@ class Journal {
   void SetTraceHook(std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace) {
     trace_ = std::move(trace);
   }
-  // Batch-open to commit-record-durable, in cycles; fed to jrnl.commit_latency.
-  void SetCommitLatencyHook(std::function<void(Cycles)> hook) {
-    commit_latency_ = std::move(hook);
-  }
+  // Registers the jrnl.* gauges over stats() and capacity(), and the
+  // jrnl.commit_latency histogram (batch open to commit record durable).
+  void RegisterMetrics(Metrics& m);
 
   struct RecoveryResult {
     std::uint32_t records_replayed = 0;
@@ -215,7 +217,7 @@ class Journal {
 
   std::function<Cycles()> now_;
   std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace_;
-  std::function<void(Cycles)> commit_latency_;
+  Histogram* commit_latency_ = nullptr;
 };
 
 }  // namespace vos

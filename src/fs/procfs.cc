@@ -41,61 +41,6 @@ std::string FormatTasks(const std::vector<ProcTaskLine>& tasks) {
   return os.str();
 }
 
-std::string FormatMemStat(const ProcMemStat& ms) {
-  std::ostringstream os;
-  char buf[160];
-  os << "PmmTotalPages: " << ms.total_pages << "\n";
-  os << "PmmFreePages: " << ms.free_pages << "\n";
-  os << "PmmLargestBlock: " << ms.largest_block_pages << " pages\n";
-  std::snprintf(buf, sizeof(buf), "PmmFragmentation: %.1f %%\n", ms.frag_pct);
-  os << buf;
-  std::snprintf(buf, sizeof(buf),
-                "PmmOps: alloc %llu free %llu range_alloc %llu range_free %llu "
-                "split %llu merge %llu oom %llu\n",
-                static_cast<unsigned long long>(ms.page_allocs),
-                static_cast<unsigned long long>(ms.page_frees),
-                static_cast<unsigned long long>(ms.range_allocs),
-                static_cast<unsigned long long>(ms.range_frees),
-                static_cast<unsigned long long>(ms.splits),
-                static_cast<unsigned long long>(ms.merges),
-                static_cast<unsigned long long>(ms.oom_events));
-  os << buf;
-  os << "FreeByOrder:";
-  for (std::size_t o = 0; o < ms.free_blocks_by_order.size(); ++o) {
-    os << " " << o << ":" << ms.free_blocks_by_order[o];
-  }
-  os << "\n";
-  if (!ms.has_kmalloc) {
-    return os.str();
-  }
-  os << "SLAB\tPAGES\tSLABS\tOBJS\tLIVE\tUTIL%\tREFILLS\n";
-  for (const ProcMemClassLine& c : ms.classes) {
-    double util = c.total_objs == 0
-                      ? 0.0
-                      : 100.0 * static_cast<double>(c.live_objs) / static_cast<double>(c.total_objs);
-    std::snprintf(buf, sizeof(buf), "slab-%u\t%u\t%llu\t%llu\t%llu\t%.1f\t%llu\n", c.obj_size,
-                  c.slab_pages, static_cast<unsigned long long>(c.slabs),
-                  static_cast<unsigned long long>(c.total_objs),
-                  static_cast<unsigned long long>(c.live_objs), util,
-                  static_cast<unsigned long long>(c.refills));
-    os << buf;
-  }
-  os << "CORE\tHITS\tMISSES\tHIT%\tDRAINS\tCACHED\n";
-  for (const ProcMemCoreLine& c : ms.cores) {
-    double rate = c.hits + c.misses == 0
-                      ? 100.0
-                      : 100.0 * static_cast<double>(c.hits) / static_cast<double>(c.hits + c.misses);
-    std::snprintf(buf, sizeof(buf), "core%u\t%llu\t%llu\t%.1f\t%llu\t%llu\n", c.core,
-                  static_cast<unsigned long long>(c.hits),
-                  static_cast<unsigned long long>(c.misses), rate,
-                  static_cast<unsigned long long>(c.drains),
-                  static_cast<unsigned long long>(c.cached));
-    os << buf;
-  }
-  os << "Large: live " << ms.large_live << " total " << ms.large_allocs << "\n";
-  return os.str();
-}
-
 bool ParseCpuUtilization(const std::string& cpuinfo, std::vector<double>* out) {
   out->clear();
   std::istringstream is(cpuinfo);

@@ -32,46 +32,6 @@ struct ProcTaskLine {
   std::uint64_t blocked_ms = 0;
 };
 
-// /proc/memstat: the memory path end to end — buddy PMM state (free blocks
-// by order, fragmentation, op counters) plus slab kmalloc state (per-class
-// slab utilization, per-core cache hit rates).
-struct ProcMemClassLine {
-  std::uint32_t obj_size = 0;
-  std::uint32_t slab_pages = 0;
-  std::uint64_t slabs = 0;
-  std::uint64_t total_objs = 0;
-  std::uint64_t live_objs = 0;
-  std::uint64_t refills = 0;
-};
-
-struct ProcMemCoreLine {
-  unsigned core = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t drains = 0;
-  std::uint64_t cached = 0;
-};
-
-struct ProcMemStat {
-  std::uint64_t total_pages = 0;
-  std::uint64_t free_pages = 0;
-  std::uint64_t largest_block_pages = 0;
-  double frag_pct = 0;
-  std::uint64_t page_allocs = 0;
-  std::uint64_t page_frees = 0;
-  std::uint64_t range_allocs = 0;
-  std::uint64_t range_frees = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t oom_events = 0;
-  std::vector<std::uint64_t> free_blocks_by_order;
-  bool has_kmalloc = false;
-  std::vector<ProcMemClassLine> classes;
-  std::vector<ProcMemCoreLine> cores;
-  std::uint64_t large_live = 0;
-  std::uint64_t large_allocs = 0;
-};
-
 // One /proc/schedstat core row: context switches, current runqueue depth,
 // work-stealing traffic (steal operations performed / tasks migrated away),
 // and idle percentage since boot. Per-task CPU time and MLFQ level ride
@@ -90,7 +50,6 @@ std::string FormatMemInfo(std::uint64_t total_pages, std::uint64_t free_pages,
                           std::uint64_t kernel_reserved_bytes);
 std::string FormatUptime(std::uint64_t uptime_ms);
 std::string FormatTasks(const std::vector<ProcTaskLine>& tasks);
-std::string FormatMemStat(const ProcMemStat& ms);
 std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,
                             const std::vector<ProcTaskLine>& tasks);
 

@@ -2,7 +2,8 @@
 //
 // Paths route by prefix exactly as the paper describes (§4.5): the root
 // filesystem (xv6fs on the ramdisk) owns '/', the FAT32 SD partition mounts
-// at '/d', device files live under '/dev', proc files under '/proc'. FAT
+// at '/d' (a USB drive's at '/u'), device files live under '/dev', proc files
+// under '/proc'. FAT
 // files are bridged through pseudo-inodes (FatNode) since FAT has no inode
 // concept.
 #ifndef VOS_SRC_FS_VFS_H_
@@ -13,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/units.h"
@@ -97,15 +99,12 @@ struct DirEntryInfo {
 
 class Vfs {
  public:
-  // Construction wires the root filesystem; the FAT volume is attached when
-  // Prototype 5 mounts the SD card.
+  // Construction wires the root filesystem; FAT volumes are attached when
+  // Prototype 5 mounts the SD card and a USB drive.
   Vfs(Xv6Fs& rootfs, const KernelConfig& cfg) : root_(rootfs), cfg_(cfg) {}
 
-  void MountFat(FatVolume* fat) { fat_ = fat; }
-  bool fat_mounted() const { return fat_ != nullptr; }
-  // The USB thumb drive's volume, mounted at /u (§4.4 future-work class).
-  void MountUsbFat(FatVolume* fat) { usb_fat_ = fat; }
-  bool usb_fat_mounted() const { return usb_fat_ != nullptr; }
+  // Mounts a FAT volume at the top-level directory `at` ("/d", "/u").
+  void MountFat(const std::string& at, FatVolume* fat) { fat_mounts_.emplace_back(at, fat); }
 
   void RegisterDevice(const std::string& name, DevNode* node) { devices_[name] = node; }
   DevNode* Device(const std::string& name) const;
@@ -156,17 +155,16 @@ class Vfs {
                        Cycles* burn);
 
   Xv6Fs& rootfs() { return root_; }
-  FatVolume* fat() { return fat_; }
 
  private:
-  enum class Realm { kRoot, kFat, kUsbFat, kDev, kProc };
-  // Splits a resolved path into (realm, remainder).
-  Realm RealmOf(const std::string& path, std::string* rest) const;
+  enum class Realm { kRoot, kFat, kDev, kProc };
+  // Splits a resolved path into (realm, remainder); for kFat, *vol (when
+  // given) receives the volume mounted there.
+  Realm RealmOf(const std::string& path, std::string* rest, FatVolume** vol = nullptr) const;
 
   Xv6Fs& root_;
   const KernelConfig& cfg_;
-  FatVolume* fat_ = nullptr;
-  FatVolume* usb_fat_ = nullptr;
+  std::vector<std::pair<std::string, FatVolume*>> fat_mounts_;  // (mount point, volume)
   std::map<std::string, DevNode*> devices_;
   std::map<std::string, std::function<std::string()>> proc_;
   std::map<std::string, std::function<std::int64_t(const std::string&)>> proc_writers_;

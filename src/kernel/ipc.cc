@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/base/status.h"
+#include "src/kernel/metrics.h"
 
 namespace vos {
 
@@ -41,6 +42,13 @@ std::size_t IpcRing::TryPop(std::uint8_t* dst, std::size_t n) {
   count_ -= can;
   popped_ += can;
   return can;
+}
+
+void IpcTable::RegisterMetrics(Metrics& m) {
+  m.Gauge("ipc.waits_slept", [this] { return waits_slept(); });
+  m.Gauge("ipc.waits_immediate", [this] { return waits_immediate(); });
+  m.Gauge("ipc.wakes", [this] { return wakes(); });
+  m.Gauge("ipc.woken_tasks", [this] { return woken_tasks(); });
 }
 
 std::int64_t IpcTable::Create(std::size_t bytes) {

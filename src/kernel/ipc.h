@@ -31,6 +31,8 @@
 
 namespace vos {
 
+class Metrics;
+
 constexpr int kMaxIpcChannels = 64;
 constexpr std::size_t kMaxIpcRingBytes = 1u << 22;  // 4 MiB sanity ceiling
 constexpr std::size_t kIpcRingBytes = 65536;        // capacity of ipc_create(0)
@@ -129,6 +131,8 @@ class IpcTable {
   }
   std::uint64_t wakes() const { return wakes_; }  // racedet: ok (gauge snapshot)
   std::uint64_t woken_tasks() const { return woken_tasks_; }  // racedet: ok (gauge snapshot)
+  // Registers the ipc.* gauges over the counters above.
+  void RegisterMetrics(Metrics& m);
 
  private:
   struct Slot {

@@ -110,8 +110,9 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   });
 
   // Observability: latency histograms and gauges live in the metrics
-  // registry from the start; subsystems cache the pointers and record
-  // wait-free on their hot paths.
+  // registry from the start; each subsystem registers its own and caches the
+  // pointers to record wait-free on its hot paths. The kernel registers only
+  // its own metrics and the gauges that read more than one subsystem.
   syscall_lat_all_ = metrics_.Hist("syscall.latency");
   for (int i = 1; i <= kNumSyscalls; ++i) {
     syscall_lat_[i] = metrics_.Hist(std::string("syscall.") + SysName(static_cast<Sys>(i)) +
@@ -119,8 +120,17 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   }
   irq_lat_hist_ = metrics_.Hist("irq.duration");
   irq_counter_ = metrics_.Counter("irq.count");
+  watchdog_bark_counter_ = metrics_.Counter("watchdog.barks");
   sched_.SetNowFn([this] { return Now(); });
-  sched_.SetLatencyHists(metrics_.Hist("sched.runq_wait"), metrics_.Hist("sched.slice_len"));
+  sched_.RegisterMetrics(metrics_);
+  for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
+    metrics_.Gauge("sched.core" + std::to_string(c) + ".idle_pct", [this, c] {
+      return static_cast<std::uint64_t>((1.0 - machine_.Utilization(c)) * 100.0);
+    });
+  }
+  trace_.RegisterMetrics(metrics_);
+  Racedet::Instance().RegisterMetrics(metrics_);
+  profiler_.RegisterMetrics(metrics_);
   // Profiler wiring: the machine reports every execution span; each captured
   // sample charges its capture cost to the sampled core as IRQ debt, so
   // profiling overhead is real virtual time (bench_prof's ≤5% contract).
@@ -132,32 +142,6 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   });
   sched_.SetProfHooks([this](Task* t) { profiler_.OnSleep(t); },
                       [this](Task* t, Cycles blocked) { profiler_.OnWake(t, blocked); });
-  metrics_.Gauge("prof.samples", [this] { return profiler_.samples(); });
-  metrics_.Gauge("prof.offcpu_samples", [this] { return profiler_.offcpu_samples(); });
-  metrics_.Gauge("prof.symbolized", [this] { return profiler_.symbolized(); });
-  watchdog_bark_counter_ = metrics_.Counter("watchdog.barks");
-  metrics_.Gauge("trace.emitted", [this] { return trace_.total_emitted(); });
-  metrics_.Gauge("trace.dropped", [this] { return trace_.total_dropped(); });
-  metrics_.Gauge("trace.dump_retries", [this] { return trace_.dump_retries(); });
-  metrics_.Gauge("racedet.checks", [] { return Racedet::Instance().checks(); });
-  metrics_.Gauge("racedet.reports", [] { return Racedet::Instance().total_reports(); });
-  metrics_.Gauge("racedet.excluded", [] { return Racedet::Instance().excluded_accesses(); });
-  metrics_.Gauge("racedet.shrinks", [] { return Racedet::Instance().lockset_shrinks(); });
-  metrics_.Gauge("racedet.cells_used",
-                 [] { return static_cast<std::uint64_t>(Racedet::Instance().CellsUsed()); });
-  metrics_.Gauge("racedet.dropped", [] { return Racedet::Instance().dropped_locations(); });
-  for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-    std::string pfx = "sched.core" + std::to_string(c) + ".";
-    metrics_.Gauge(pfx + "ctx_switches", [this, c] { return sched_.context_switches(c); });
-    metrics_.Gauge(pfx + "runq_depth",
-                   [this, c] { return static_cast<std::uint64_t>(sched_.runqueue_len(c)); });
-    metrics_.Gauge(pfx + "idle_pct", [this, c] {
-      return static_cast<std::uint64_t>((1.0 - machine_.Utilization(c)) * 100.0);
-    });
-    metrics_.Gauge(pfx + "steals", [this, c] { return sched_.steals(c); });
-    metrics_.Gauge(pfx + "stolen_tasks", [this, c] { return sched_.stolen_tasks(c); });
-    metrics_.Gauge(pfx + "migrations", [this, c] { return sched_.migrations(c); });
-  }
 }
 
 Kernel::~Kernel() {
@@ -227,50 +211,29 @@ Kernel::BootReport Kernel::Boot() {
   r.firmware = Ms(2600) + Cycles(image_bytes) * 250;  // ~4 MB/s SD load
 
   // Kernel core: vectors, PMM over [8 MB, dram_end), timers, UART.
-  Cycles core = 0;
-  pmm_ = std::make_unique<Pmm>(board_.mem(), kKernelReservedEnd, board_.config().dram_size);
-  pmm_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
+  // The pmm, kmalloc, bcache and journal trace hook: events stamped with the
+  // current task's core and pid (0 and 0 on the machine thread).
+  auto trace_hook = [this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
     Task* cur = CurrentTask();
     trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev, cur != nullptr ? cur->pid() : 0, a, b);
-  });
-  metrics_.Gauge("pmm.total_pages", [this] { return pmm_->total_pages(); });
-  metrics_.Gauge("pmm.free_pages", [this] { return pmm_->free_pages(); });
-  metrics_.Gauge("pmm.largest_block_pages", [this] { return pmm_->LargestFreeBlockPages(); });
-  metrics_.Gauge("pmm.page_allocs", [this] { return pmm_->stats().page_allocs; });
-  metrics_.Gauge("pmm.page_frees", [this] { return pmm_->stats().page_frees; });
-  metrics_.Gauge("pmm.range_allocs", [this] { return pmm_->stats().range_allocs; });
-  metrics_.Gauge("pmm.range_frees", [this] { return pmm_->stats().range_frees; });
-  metrics_.Gauge("pmm.splits", [this] { return pmm_->stats().splits; });
-  metrics_.Gauge("pmm.merges", [this] { return pmm_->stats().merges; });
-  metrics_.Gauge("pmm.oom_events", [this] { return pmm_->stats().oom_events; });
+  };
+  Cycles core = 0;
+  pmm_ = std::make_unique<Pmm>(board_.mem(), kKernelReservedEnd, board_.config().dram_size);
+  pmm_->SetTraceHook(trace_hook);
+  pmm_->RegisterMetrics(metrics_);
   if (cfg_.HasKmalloc()) {
     kmalloc_ = std::make_unique<Kmalloc>(*pmm_);
     kmalloc_->SetCoreFn([this] {
       Task* cur = CurrentTask();
       return cur != nullptr ? cur->core : 0u;
     });
-    kmalloc_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-      Task* cur = CurrentTask();
-      trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev, cur != nullptr ? cur->pid() : 0, a,
-                  b);
-    });
-    metrics_.Gauge("slab.large_live", [this] { return kmalloc_->large_live(); });
-    metrics_.Gauge("slab.large_allocs", [this] { return kmalloc_->large_allocs(); });
-    for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-      std::string pfx = "slab.core" + std::to_string(c) + ".";
-      metrics_.Gauge(pfx + "hits", [this, c] { return kmalloc_->core_stats(c).hits; });
-      metrics_.Gauge(pfx + "misses", [this, c] { return kmalloc_->core_stats(c).misses; });
-      metrics_.Gauge(pfx + "drains", [this, c] { return kmalloc_->core_stats(c).drains; });
-      metrics_.Gauge(pfx + "cached", [this, c] { return kmalloc_->CachedObjects(c); });
-    }
+    kmalloc_->SetTraceHook(trace_hook);
+    kmalloc_->RegisterMetrics(metrics_, cfg_.EffectiveCores());
   }
   vtimers_ = std::make_unique<VirtualTimers>(board_.sys_timer());
   sems_ = std::make_unique<SemTable>(sched_);
   ipcs_ = std::make_unique<IpcTable>(sched_);
-  metrics_.Gauge("ipc.waits_slept", [this] { return ipcs_->waits_slept(); });
-  metrics_.Gauge("ipc.waits_immediate", [this] { return ipcs_->waits_immediate(); });
-  metrics_.Gauge("ipc.wakes", [this] { return ipcs_->wakes(); });
-  metrics_.Gauge("ipc.woken_tasks", [this] { return ipcs_->woken_tasks(); });
+  ipcs_->RegisterMetrics(metrics_);
   core += Ms(3);  // vector tables, EL1 setup, MMU enable (1 MB kernel blocks)
   if (cfg_.HasVm()) {
     core += Ms(2);  // kernel page tables
@@ -300,27 +263,14 @@ Kernel::BootReport Kernel::Boot() {
   Cycles fs_time = 0;
   Cycles usb_time = 0;
   fault_ = std::make_unique<FaultInjector>(cfg_);
-  // Every block device goes through a fault-injection decorator, tagged with
-  // the bcache device id it is about to be registered under.
-  auto wrap_fault = [this](BlockDevice* raw) -> BlockDevice* {
-    fault_devs_.push_back(std::make_unique<FaultInjectingBlockDevice>(
-        raw, fault_.get(), bcache_->device_count()));
-    return fault_devs_.back().get();
-  };
   if (cfg_.HasFiles()) {
     VOS_CHECK_MSG(ramdisk_ != nullptr && !ramdisk_->data().empty(),
                   "proto4+ boot requires a ramdisk image");
     bcache_ = std::make_unique<Bcache>(cfg_);
     bcache_->SetNowFn([this] { return Now(); });
-    bcache_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-      Task* cur = CurrentTask();
-      trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev,
-                  cur != nullptr ? cur->pid() : 0, a, b);
-    });
-    Histogram* blk_lat = metrics_.Hist("block.req_latency");
-    bcache_->SetLatencyHook([blk_lat](Cycles lat) { blk_lat->Record(lat); });
-    ramdisk_dev_ = bcache_->AddDevice(wrap_fault(ramdisk_.get()), "ramdisk");
-    RegisterBlockDevMetrics(ramdisk_dev_);
+    bcache_->SetTraceHook(trace_hook);
+    bcache_->RegisterMetrics(metrics_);
+    ramdisk_dev_ = AddBlockDevice(ramdisk_.get(), "ramdisk");
     rootfs_ = std::make_unique<Xv6Fs>(*bcache_, ramdisk_dev_, cfg_);
     std::int64_t mr = rootfs_->Mount(&fs_time);
     VOS_CHECK_MSG(mr == 0, "root filesystem mount failed");
@@ -334,35 +284,9 @@ Kernel::BootReport Kernel::Boot() {
       journal_ = std::make_unique<Journal>(*bcache_, ramdisk_dev_, cfg_);
       if (journal_->Init(rootfs_->sb(), &fs_time) == 0 && journal_->active()) {
         journal_->SetNowFn([this] { return Now(); });
-        journal_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-          Task* cur = CurrentTask();
-          trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev,
-                      cur != nullptr ? cur->pid() : 0, a, b);
-        });
-        Histogram* jrnl_lat = metrics_.Hist("jrnl.commit_latency");
-        journal_->SetCommitLatencyHook([jrnl_lat](Cycles lat) { jrnl_lat->Record(lat); });
+        journal_->SetTraceHook(trace_hook);
+        journal_->RegisterMetrics(metrics_);
         rootfs_->AttachJournal(journal_.get());
-        metrics_.Gauge("jrnl.commits", [this] { return journal_->stats().commits; });
-        metrics_.Gauge("jrnl.commit_errors",
-                       [this] { return journal_->stats().commit_errors; });
-        metrics_.Gauge("jrnl.txs", [this] { return journal_->stats().txs; });
-        metrics_.Gauge("jrnl.log_writes", [this] { return journal_->stats().log_writes; });
-        metrics_.Gauge("jrnl.blocks_logged",
-                       [this] { return journal_->stats().blocks_logged; });
-        metrics_.Gauge("jrnl.coalesced", [this] { return journal_->stats().coalesced; });
-        metrics_.Gauge("jrnl.checkpoints", [this] { return journal_->stats().checkpoints; });
-        metrics_.Gauge("jrnl.checkpoint_blocks",
-                       [this] { return journal_->stats().checkpoint_blocks; });
-        metrics_.Gauge("jrnl.backpressure_syncs",
-                       [this] { return journal_->stats().backpressure_syncs; });
-        metrics_.Gauge("jrnl.live_slots", [this] { return journal_->stats().live_slots; });
-        metrics_.Gauge("jrnl.open_blocks", [this] { return journal_->stats().open_blocks; });
-        metrics_.Gauge("jrnl.backlog_blocks",
-                       [this] { return journal_->stats().backlog_blocks; });
-        metrics_.Gauge("jrnl.capacity_slots", [this] { return journal_->capacity(); });
-        metrics_.Gauge("jrnl.log_util_pct", [this] {
-          return std::uint64_t(journal_->stats().live_slots) * 100 / journal_->capacity();
-        });
         metrics_.Gauge("jrnl.pinned_bufs", [this] { return bcache_->PinnedCount(ramdisk_dev_); });
         metrics_.Gauge("jrnl.recovered_records", [this] { return rootfs_->recovered_records(); });
         metrics_.Gauge("jrnl.recovered_blocks", [this] { return rootfs_->recovered_blocks(); });
@@ -426,10 +350,13 @@ Kernel::BootReport Kernel::Boot() {
       return std::to_string(fb_driver_->width()) + " " + std::to_string(fb_driver_->height()) +
              " " + std::to_string(fb_driver_->pitch()) + "\n";
     });
-    // /proc/blkstat and /proc/jrnl are the block.* and jrnl.* slices of the
-    // metrics registry, prefix stripped ("ramdisk.reads 12", "active 1").
+    // /proc/blkstat, /proc/jrnl and /proc/memstat are slices of the metrics
+    // registry, prefix stripped ("ramdisk.reads 12", "active 1").
     vfs_->RegisterProc("blkstat", [this] { return metrics_.ExportText("block."); });
     vfs_->RegisterProc("jrnl", [this] { return metrics_.ExportText("jrnl."); });
+    vfs_->RegisterProc("memstat", [this] {
+      return metrics_.ExportText("pmm.") + metrics_.ExportText("slab.");
+    });
     // /proc/faultinject: read shows injector state and fault counters; write
     // accepts the command language (see FaultInjector::Command).
     vfs_->RegisterProc("faultinject", [this] { return fault_->StatusText(); });
@@ -442,46 +369,6 @@ Kernel::BootReport Kernel::Boot() {
         "profile", [this](const std::string& text) { return profiler_.Command(text, Now()); });
     vfs_->RegisterProc("lockdep", [] { return Lockdep::Instance().Report(); });
     vfs_->RegisterProc("racedet", [] { return Racedet::Instance().Report(); });
-    // /proc/memstat scalars are a view over the registry's pmm.*/slab.*
-    // gauges; only distribution detail (per-order, per-class) is read direct.
-    vfs_->RegisterProc("memstat", [this] {
-      auto val = [this](const std::string& name) {
-        std::uint64_t v = 0;
-        metrics_.Value(name, &v);
-        return v;
-      };
-      ProcMemStat ms;
-      ms.total_pages = val("pmm.total_pages");
-      ms.free_pages = val("pmm.free_pages");
-      ms.largest_block_pages = val("pmm.largest_block_pages");
-      ms.frag_pct = pmm_->FragmentationPct();
-      ms.page_allocs = val("pmm.page_allocs");
-      ms.page_frees = val("pmm.page_frees");
-      ms.range_allocs = val("pmm.range_allocs");
-      ms.range_frees = val("pmm.range_frees");
-      ms.splits = val("pmm.splits");
-      ms.merges = val("pmm.merges");
-      ms.oom_events = val("pmm.oom_events");
-      for (int o = 0; o < pmm_->num_orders(); ++o) {
-        ms.free_blocks_by_order.push_back(pmm_->FreeBlocksOfOrder(o));
-      }
-      if (kmalloc_ != nullptr) {
-        ms.has_kmalloc = true;
-        for (int cls = 0; cls < Kmalloc::kNumClasses; ++cls) {
-          Kmalloc::ClassStats cs = kmalloc_->class_stats(cls);
-          ms.classes.push_back(ProcMemClassLine{cs.obj_size, cs.slab_pages, cs.slabs,
-                                                cs.total_objs, cs.live_objs, cs.refills});
-        }
-        for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-          std::string pfx = "slab.core" + std::to_string(c) + ".";
-          ms.cores.push_back(ProcMemCoreLine{c, val(pfx + "hits"), val(pfx + "misses"),
-                                             val(pfx + "drains"), val(pfx + "cached")});
-        }
-        ms.large_live = val("slab.large_live");
-        ms.large_allocs = val("slab.large_allocs");
-      }
-      return FormatMemStat(ms);
-    });
     vfs_->RegisterProc("metrics", [this] { return metrics_.ExportText(); });
     // Write "buckets on|off" to toggle raw histogram bucket export (the
     // percentile summary stays the default view).
@@ -539,31 +426,16 @@ Kernel::BootReport Kernel::Boot() {
     if (sd_driver_->ReadPartition(1, &first, &count, &part_burn)) {
       fs_time += part_burn;
       sd_part_ = sd_driver_->OpenPartition(first, count);
-      sd_dev_ = bcache_->AddDevice(wrap_fault(sd_part_.get()), "sd");
-      RegisterBlockDevMetrics(sd_dev_);
-      fat_ = std::make_unique<FatVolume>(*bcache_, sd_dev_, cfg_);
-      Cycles mount_burn = 0;
-      if (fat_->Mount(&mount_burn) == 0) {
-        vfs_->MountFat(fat_.get());
-      }
-      fs_time += mount_burn;
+      fs_time += MountFatDevice(sd_part_.get(), "sd", "/d");
     }
   }
   // USB mass storage (the §4.4 future-work class): enumerate the thumb
   // drive, mount its FAT volume at /u.
   if (cfg_.HasFat32() && board_.usb_storage() != nullptr) {
     usb_storage_driver_ = std::make_unique<UsbStorageDriver>(*board_.usb_storage());
-    Cycles msc_time = usb_storage_driver_->Init();
-    usb_time += msc_time;
+    usb_time += usb_storage_driver_->Init();
     if (usb_storage_driver_->ready()) {
-      usb_dev_ = bcache_->AddDevice(wrap_fault(usb_storage_driver_.get()), "usb");
-      RegisterBlockDevMetrics(usb_dev_);
-      usb_fat_ = std::make_unique<FatVolume>(*bcache_, usb_dev_, cfg_);
-      Cycles mb = 0;
-      if (usb_fat_->Mount(&mb) == 0) {
-        vfs_->MountUsbFat(usb_fat_.get());
-      }
-      usb_time += mb;
+      usb_time += MountFatDevice(usb_storage_driver_.get(), "usb", "/u");
     }
   }
 
@@ -620,28 +492,20 @@ Kernel::BootReport Kernel::Boot() {
   return r;
 }
 
-void Kernel::RegisterBlockDevMetrics(int dev) {
-  std::string pfx = "block." + bcache_->stats(dev).name + ".";
-  // Gauges are sampled outside the metrics lock, so stats(dev) taking the
-  // bcache lock in the callback keeps "metrics" a lockdep leaf.
-  metrics_.Gauge(pfx + "reads", [this, dev] { return bcache_->stats(dev).reads; });
-  metrics_.Gauge(pfx + "writes", [this, dev] { return bcache_->stats(dev).writes; });
-  metrics_.Gauge(pfx + "blocks_read", [this, dev] { return bcache_->stats(dev).blocks_read; });
-  metrics_.Gauge(pfx + "blocks_written",
-                 [this, dev] { return bcache_->stats(dev).blocks_written; });
-  metrics_.Gauge(pfx + "hits", [this, dev] { return bcache_->stats(dev).hits; });
-  metrics_.Gauge(pfx + "misses", [this, dev] { return bcache_->stats(dev).misses; });
-  metrics_.Gauge(pfx + "writebacks", [this, dev] { return bcache_->stats(dev).writebacks; });
-  metrics_.Gauge(pfx + "merged", [this, dev] { return bcache_->stats(dev).merged; });
-  metrics_.Gauge(pfx + "queue_depth_hw",
-                 [this, dev] {
-                   return static_cast<std::uint64_t>(bcache_->stats(dev).queue_depth_hw);
-                 });
-  metrics_.Gauge(pfx + "dirty",
-                 [this, dev] { return static_cast<std::uint64_t>(bcache_->DirtyCount(dev)); });
-  metrics_.Gauge(pfx + "io_retries", [this, dev] { return bcache_->stats(dev).io_retries; });
-  metrics_.Gauge(pfx + "io_errors", [this, dev] { return bcache_->stats(dev).io_errors; });
-  metrics_.Gauge(pfx + "io_timeouts", [this, dev] { return bcache_->stats(dev).io_timeouts; });
+int Kernel::AddBlockDevice(BlockDevice* raw, const std::string& name) {
+  // Tagged with the bcache device id it is about to be registered under.
+  fault_devs_.push_back(
+      std::make_unique<FaultInjectingBlockDevice>(raw, fault_.get(), bcache_->device_count()));
+  return bcache_->AddDevice(fault_devs_.back().get(), name);
+}
+
+Cycles Kernel::MountFatDevice(BlockDevice* raw, const std::string& name, const std::string& at) {
+  fat_vols_.push_back(std::make_unique<FatVolume>(*bcache_, AddBlockDevice(raw, name), cfg_));
+  Cycles burn = 0;
+  if (fat_vols_.back()->Mount(&burn) == 0) {
+    vfs_->MountFat(at, fat_vols_.back().get());
+  }
+  return burn;
 }
 
 void Kernel::FlusherBody() {

@@ -286,8 +286,12 @@ class Kernel final : public MachineClient {
   // the task if a kill is pending.
   Task* SyscallEnter(Sys num);
   std::int64_t SyscallExit(Sys num, std::int64_t ret);
-  // Registers the block.<name>.* gauges for a newly added bcache device.
-  void RegisterBlockDevMetrics(int dev);
+  // Adds `raw` to the bcache behind a fault-injection decorator (see fault_);
+  // returns its device id.
+  int AddBlockDevice(BlockDevice* raw, const std::string& name);
+  // Adds `raw` as a block device and mounts its FAT volume at `at` if the
+  // volume mounts. Returns the mount's virtual time.
+  Cycles MountFatDevice(BlockDevice* raw, const std::string& name, const std::string& at);
   void FlusherBody();  // bflush kernel thread: periodic aged-dirty write-back
   void WatchdogBody();  // hung-task/softlockup watchdog kernel thread
   // One watchdog bark: klog backtrace + kWatchdogBark + counter. `offender`
@@ -335,10 +339,9 @@ class Kernel final : public MachineClient {
   std::unique_ptr<Xv6Fs> rootfs_;
   std::unique_ptr<Journal> journal_;
   std::unique_ptr<SdBlockDevice> sd_part_;
-  std::unique_ptr<FatVolume> fat_;
+  std::vector<std::unique_ptr<FatVolume>> fat_vols_;  // SD at /d, USB drive at /u
   std::unique_ptr<Vfs> vfs_;
   int ramdisk_dev_ = -1;
-  int sd_dev_ = -1;
 
   // Drivers.
   std::unique_ptr<FbDriver> fb_driver_;
@@ -350,8 +353,6 @@ class Kernel final : public MachineClient {
   std::unique_ptr<AudioDriver> audio_driver_;
   std::unique_ptr<SdDriver> sd_driver_;
   std::unique_ptr<UsbStorageDriver> usb_storage_driver_;
-  std::unique_ptr<FatVolume> usb_fat_;
-  int usb_dev_ = -1;
   std::unique_ptr<NullDev> null_dev_;
   std::unique_ptr<TraceDev> trace_dev_;
   std::unique_ptr<WindowManager> wm_;

@@ -1,8 +1,10 @@
 #include "src/kernel/kmalloc.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/base/assert.h"
+#include "src/kernel/metrics.h"
 
 namespace vos {
 
@@ -357,6 +359,27 @@ std::uint64_t Kmalloc::CachedObjects(unsigned core) const {
     n += mag.size();
   }
   return n;
+}
+
+void Kmalloc::RegisterMetrics(Metrics& m, unsigned ncores) {
+  for (int cls = 0; cls < kNumClasses; ++cls) {
+    std::string pfx = "slab.class" + std::to_string(ObjSize(cls)) + ".";
+    m.Gauge(pfx + "slab_pages",
+            [this, cls] { return std::uint64_t{class_stats(cls).slab_pages}; });
+    m.Gauge(pfx + "slabs", [this, cls] { return class_stats(cls).slabs; });
+    m.Gauge(pfx + "total_objs", [this, cls] { return class_stats(cls).total_objs; });
+    m.Gauge(pfx + "live_objs", [this, cls] { return class_stats(cls).live_objs; });
+    m.Gauge(pfx + "refills", [this, cls] { return class_stats(cls).refills; });
+  }
+  for (unsigned c = 0; c < ncores; ++c) {
+    std::string pfx = "slab.core" + std::to_string(c) + ".";
+    m.Gauge(pfx + "hits", [this, c] { return core_stats(c).hits; });
+    m.Gauge(pfx + "misses", [this, c] { return core_stats(c).misses; });
+    m.Gauge(pfx + "drains", [this, c] { return core_stats(c).drains; });
+    m.Gauge(pfx + "cached", [this, c] { return CachedObjects(c); });
+  }
+  m.Gauge("slab.large_live", [this] { return large_live(); });
+  m.Gauge("slab.large_allocs", [this] { return large_allocs(); });
 }
 
 double Kmalloc::HitRate() const {

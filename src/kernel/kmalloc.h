@@ -31,6 +31,8 @@
 
 namespace vos {
 
+class Metrics;
+
 class Kmalloc {
  public:
   static constexpr int kMinShift = 4;    // 16 B
@@ -102,6 +104,11 @@ class Kmalloc {
   std::uint64_t large_allocs() const {
     return large_allocs_;  // racedet: ok (token-serialized gauge snapshot)
   }
+  // Registers the slab.* gauges: per-class slab state
+  // ("slab.class<bytes>.live_objs"), the magazine stats of the first
+  // `ncores` cores ("slab.core<i>.hits") and the large-range path.
+  // /proc/memstat is their view, after the pmm.* gauges.
+  void RegisterMetrics(Metrics& m, unsigned ncores);
 
  private:
   // In-page slab header layout (offsets into the slab's first page).

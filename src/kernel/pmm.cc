@@ -1,8 +1,10 @@
 #include "src/kernel/pmm.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/base/assert.h"
+#include "src/kernel/metrics.h"
 
 namespace vos {
 
@@ -195,6 +197,24 @@ std::uint64_t Pmm::LargestFreeBlockPages() const {
     }
   }
   return 0;
+}
+
+void Pmm::RegisterMetrics(Metrics& m) {
+  m.Gauge("pmm.total_pages", [this] { return total_pages(); });
+  m.Gauge("pmm.free_pages", [this] { return free_pages(); });
+  m.Gauge("pmm.largest_block_pages", [this] { return LargestFreeBlockPages(); });
+  m.Gauge("pmm.frag_pct", [this] { return static_cast<std::uint64_t>(FragmentationPct()); });
+  m.Gauge("pmm.page_allocs", [this] { return stats_.page_allocs; });
+  m.Gauge("pmm.page_frees", [this] { return stats_.page_frees; });
+  m.Gauge("pmm.range_allocs", [this] { return stats_.range_allocs; });
+  m.Gauge("pmm.range_frees", [this] { return stats_.range_frees; });
+  m.Gauge("pmm.splits", [this] { return stats_.splits; });
+  m.Gauge("pmm.merges", [this] { return stats_.merges; });
+  m.Gauge("pmm.oom_events", [this] { return stats_.oom_events; });
+  for (int o = 0; o < norders_; ++o) {
+    m.Gauge("pmm.order" + std::to_string(o) + ".free_blocks",
+            [this, o] { return FreeBlocksOfOrder(o); });
+  }
 }
 
 double Pmm::FragmentationPct() const {

@@ -27,6 +27,8 @@
 
 namespace vos {
 
+class Metrics;
+
 class Pmm {
  public:
   // Manages frames in [start, end) of physical memory; both page-aligned.
@@ -71,6 +73,10 @@ class Pmm {
   // against the largest block free_pages could ideally form
   // (2^floor(log2(free_pages))). 0 when free memory is maximally coalesced.
   double FragmentationPct() const;
+  // Registers the pmm.* gauges: page totals, largest block, fragmentation
+  // (whole percent), the op counters, and free blocks per order
+  // ("pmm.order<k>.free_blocks"). /proc/memstat is their view.
+  void RegisterMetrics(Metrics& m);
 
   // Trace hook: kPmmAlloc/kPmmFree (a=pa, b=npages) and kPmmOom (a=npages
   // requested). Wired by the kernel to the trace ring; raw Pmm instances in

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/base/status.h"
+#include "src/kernel/metrics.h"
 #include "src/kernel/racedet.h"
 #include "src/kernel/trace.h"
 
@@ -26,6 +27,12 @@ Profiler::Profiler(const KernelConfig& cfg, TraceRing* trace)
       period_(cfg.prof_hz == 0 ? kCyclesPerSec : kCyclesPerSec / cfg.prof_hz),
       max_frames_(std::min(cfg.prof_max_frames == 0 ? 1u : cfg.prof_max_frames,
                            kProfMaxFrames)) {}
+
+void Profiler::RegisterMetrics(Metrics& m) {
+  m.Gauge("prof.samples", [this] { return samples(); });
+  m.Gauge("prof.offcpu_samples", [this] { return offcpu_samples(); });
+  m.Gauge("prof.symbolized", [this] { return symbolized(); });
+}
 
 void Profiler::Start(Cycles now) {
   if (running_) {

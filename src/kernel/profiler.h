@@ -39,6 +39,7 @@
 
 namespace vos {
 
+class Metrics;
 class TraceRing;
 
 // Hard cap on frames kept per sample; cfg.prof_max_frames clamps to this.
@@ -91,6 +92,8 @@ class Profiler {
     return offcpu_samples_.load(std::memory_order_relaxed);
   }
   std::uint64_t symbolized() const { return symbolized_.load(std::memory_order_relaxed); }
+  // Registers the prof.samples/offcpu_samples/symbolized gauges.
+  void RegisterMetrics(Metrics& m);
 
  private:
   // Folded aggregation entry: everything needed to print one collapsed stack.

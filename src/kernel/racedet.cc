@@ -5,6 +5,7 @@
 
 #include "src/base/assert.h"
 #include "src/kernel/lockdep.h"
+#include "src/kernel/metrics.h"
 #include "src/kernel/spinlock.h"
 
 namespace vos {
@@ -349,6 +350,15 @@ std::size_t Racedet::CellsUsed() const {
     }
   }
   return n;
+}
+
+void Racedet::RegisterMetrics(Metrics& m) {
+  m.Gauge("racedet.checks", [this] { return checks(); });
+  m.Gauge("racedet.reports", [this] { return total_reports(); });
+  m.Gauge("racedet.excluded", [this] { return excluded_accesses(); });
+  m.Gauge("racedet.shrinks", [this] { return lockset_shrinks(); });
+  m.Gauge("racedet.cells_used", [this] { return static_cast<std::uint64_t>(CellsUsed()); });
+  m.Gauge("racedet.dropped", [this] { return dropped_locations(); });
 }
 
 RdState Racedet::StateOf(const volatile void* addr) const {

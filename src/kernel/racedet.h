@@ -60,6 +60,7 @@
 
 namespace vos {
 
+class Metrics;
 class SpinLock;
 struct HeldLock;
 
@@ -140,6 +141,8 @@ class Racedet {
   std::uint64_t dropped_locations() const { return dropped_; }
   std::size_t CellsUsed() const;
   std::size_t CellCapacity() const { return cells_.size(); }
+  // Registers the racedet.* gauges over the counters above.
+  void RegisterMetrics(Metrics& m);
   // Shadow state of one annotated location (tests drive the state machine).
   RdState StateOf(const volatile void* addr) const;
   // Current candidate lockset of one location, as lock class names.

@@ -4,12 +4,26 @@
 
 #include "src/base/assert.h"
 #include "src/kernel/lockdep.h"
+#include "src/kernel/metrics.h"
 
 namespace vos {
 
 Sched::Sched(const KernelConfig& cfg) : cfg_(cfg), ncores_(cfg.EffectiveCores()) {
   for (unsigned c = 0; c < ncores_; ++c) {
     cores_[c] = std::make_unique<CoreRq>(c);
+  }
+}
+
+void Sched::RegisterMetrics(Metrics& m) {
+  SetLatencyHists(m.Hist("sched.runq_wait"), m.Hist("sched.slice_len"));
+  for (unsigned c = 0; c < ncores_; ++c) {
+    std::string pfx = "sched.core" + std::to_string(c) + ".";
+    m.Gauge(pfx + "ctx_switches", [this, c] { return context_switches(c); });
+    m.Gauge(pfx + "runq_depth",
+            [this, c] { return static_cast<std::uint64_t>(runqueue_len(c)); });
+    m.Gauge(pfx + "steals", [this, c] { return steals(c); });
+    m.Gauge(pfx + "stolen_tasks", [this, c] { return stolen_tasks(c); });
+    m.Gauge(pfx + "migrations", [this, c] { return migrations(c); });
   }
 }
 

@@ -35,6 +35,8 @@
 
 namespace vos {
 
+class Metrics;
+
 // MLFQ depth. Level 0 is the highest priority; slices double per level.
 constexpr int kMlfqLevels = 3;
 // Per-core scheduler tick, and the round-robin slice in ticks (10 ms).
@@ -114,6 +116,9 @@ class Sched {
     runq_wait_hist_ = runq_wait;
     slice_hist_ = slice;
   }
+  // Registers the sched.runq_wait/sched.slice_len histograms (and records
+  // into them) plus the per-core runqueue gauges ("sched.core<i>.steals").
+  void RegisterMetrics(Metrics& m);
   // Profiler off-CPU hooks: `on_sleep` runs on the parking task's fiber just
   // before BlockAndSwitch (stack capture); `on_wake` runs under lock_ with
   // the blocked duration already added to Task::blocked_time.

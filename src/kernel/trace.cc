@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/kernel/metrics.h"
+
 namespace vos {
 
 namespace {
@@ -149,6 +151,12 @@ std::uint64_t TraceRing::total_dropped() const {
     t += dropped(c);
   }
   return t;
+}
+
+void TraceRing::RegisterMetrics(Metrics& m) {
+  m.Gauge("trace.emitted", [this] { return total_emitted(); });
+  m.Gauge("trace.dropped", [this] { return total_dropped(); });
+  m.Gauge("trace.dump_retries", [this] { return dump_retries(); });
 }
 
 std::string TraceRing::EventName(TraceEvent ev) {

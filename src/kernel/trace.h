@@ -22,6 +22,8 @@
 
 namespace vos {
 
+class Metrics;
+
 enum class TraceEvent : std::uint16_t {
   kSyscallEnter = 1,
   kSyscallExit,
@@ -88,6 +90,8 @@ class TraceRing {
   std::uint64_t dump_retries() const {
     return dump_retries_.load(std::memory_order_relaxed);
   }
+  // Registers the trace.emitted/dropped/dump_retries gauges.
+  void RegisterMetrics(Metrics& m);
 
   static std::string EventName(TraceEvent ev);
   static bool EventFromName(const std::string& name, TraceEvent* out);

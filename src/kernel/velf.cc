@@ -17,31 +17,26 @@ std::vector<std::uint8_t> BuildVelf(const std::string& entry, std::uint32_t code
   h.nsegs = data.empty() ? 1 : 2;
   h.heap_reserve = heap_reserve;
 
+  VelfSegHeader cs{kVelfSegCode, 0, kUserCodeBase, code_size, code_size};
+  VelfSegHeader ds{kVelfSegData, 1, kUserCodeBase + PageRoundUp(code_size),
+                   static_cast<std::uint32_t>(data.size()),
+                   static_cast<std::uint32_t>(data.size())};
+  const std::size_t code_off = sizeof(h) + h.nsegs * sizeof(VelfSegHeader);
+
+  // Sized once, then filled at fixed offsets: header, segment headers, code,
+  // data.
+  std::vector<std::uint8_t> out(code_off + code_size + data.size());
+  std::memcpy(out.data(), &h, sizeof(h));
+  std::memcpy(out.data() + sizeof(h), &cs, sizeof(cs));
+  if (!data.empty()) {
+    std::memcpy(out.data() + sizeof(h) + sizeof(cs), &ds, sizeof(ds));
+    std::memcpy(out.data() + code_off + code_size, data.data(), data.size());
+  }
   // Pseudo-text: repeated SHA-256 of the entry name. Deterministic, and as
   // opaque to the loader as real machine code would be.
-  std::vector<std::uint8_t> code(code_size);
   Sha256Digest d = Sha256::Hash(entry.data(), entry.size());
   for (std::uint32_t i = 0; i < code_size; ++i) {
-    code[i] = d[i % d.size()];
-  }
-
-  std::vector<std::uint8_t> out;
-  auto append = [&out](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  };
-  append(&h, sizeof(h));
-  VelfSegHeader cs{kVelfSegCode, 0, kUserCodeBase, code_size, code_size};
-  append(&cs, sizeof(cs));
-  if (!data.empty()) {
-    VelfSegHeader ds{kVelfSegData, 1, kUserCodeBase + PageRoundUp(code_size),
-                     static_cast<std::uint32_t>(data.size()),
-                     static_cast<std::uint32_t>(data.size())};
-    append(&ds, sizeof(ds));
-  }
-  append(code.data(), code.size());
-  if (!data.empty()) {
-    append(data.data(), data.size());
+    out[code_off + i] = d[i % d.size()];
   }
   return out;
 }

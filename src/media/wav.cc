@@ -11,14 +11,6 @@ std::uint32_t R32(const std::uint8_t* p) {
   return std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) | (std::uint32_t(p[2]) << 16) |
          (std::uint32_t(p[3]) << 24);
 }
-void W16(std::vector<std::uint8_t>& v, std::uint16_t x) {
-  v.push_back(static_cast<std::uint8_t>(x));
-  v.push_back(static_cast<std::uint8_t>(x >> 8));
-}
-void W32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  W16(v, static_cast<std::uint16_t>(x));
-  W16(v, static_cast<std::uint16_t>(x >> 16));
-}
 }  // namespace
 
 std::optional<WavData> WavDecode(const std::uint8_t* data, std::size_t len) {
@@ -51,22 +43,42 @@ std::optional<WavData> WavDecode(const std::uint8_t* data, std::size_t len) {
 }
 
 std::vector<std::uint8_t> WavEncode(const WavData& wav) {
+  // The 44-byte RIFF/fmt/data header, then the samples. Sized once and
+  // filled in place: growing the vector piece by piece draws a GCC 12 -O3
+  // -Wstringop-overflow false positive.
+  constexpr std::size_t kHeaderBytes = 44;
   std::uint32_t data_bytes = static_cast<std::uint32_t>(wav.samples.size() * 2);
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), {'R', 'I', 'F', 'F'});
-  W32(out, 36 + data_bytes);
-  out.insert(out.end(), {'W', 'A', 'V', 'E', 'f', 'm', 't', ' '});
-  W32(out, 16);
-  W16(out, 1);  // PCM
-  W16(out, wav.channels);
-  W32(out, wav.sample_rate);
-  W32(out, wav.sample_rate * wav.channels * 2);
-  W16(out, static_cast<std::uint16_t>(wav.channels * 2));
-  W16(out, 16);
-  out.insert(out.end(), {'d', 'a', 't', 'a'});
-  W32(out, data_bytes);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(wav.samples.data());
-  out.insert(out.end(), p, p + data_bytes);
+  std::vector<std::uint8_t> out(kHeaderBytes + data_bytes);
+  std::uint8_t* p = out.data();
+  auto tag = [&p](const char* t) {
+    std::memcpy(p, t, 4);
+    p += 4;
+  };
+  auto w16 = [&p](std::uint16_t x) {
+    p[0] = static_cast<std::uint8_t>(x);
+    p[1] = static_cast<std::uint8_t>(x >> 8);
+    p += 2;
+  };
+  auto w32 = [&w16](std::uint32_t x) {
+    w16(static_cast<std::uint16_t>(x));
+    w16(static_cast<std::uint16_t>(x >> 16));
+  };
+  tag("RIFF");
+  w32(36 + data_bytes);
+  tag("WAVE");
+  tag("fmt ");
+  w32(16);
+  w16(1);  // PCM
+  w16(wav.channels);
+  w32(wav.sample_rate);
+  w32(wav.sample_rate * wav.channels * 2);
+  w16(static_cast<std::uint16_t>(wav.channels * 2));
+  w16(16);
+  tag("data");
+  w32(data_bytes);
+  if (data_bytes != 0) {
+    std::memcpy(p, wav.samples.data(), data_bytes);
+  }
   return out;
 }
 

@@ -255,11 +255,19 @@ TEST(MemstatTest, Proto5BootExportsMemstatAndDrainsOnExit) {
   System sys(opt);
   // Organic traffic: run a user program end to end, then read /proc/memstat.
   EXPECT_EQ(sys.RunProgram("cat", {"/proc/memstat"}), 0);
-  const std::string out = sys.SerialOutput();
+  const std::string out = "\n" + sys.SerialOutput();
+  // The registry's pmm.* and slab.* slices: totals, largest block,
+  // fragmentation, per-order free blocks, per-class slabs, per-core magazine
+  // stats, and the large-allocation path.
   for (const char* expect :
-       {"PmmTotalPages:", "PmmFreePages:", "PmmLargestBlock:", "PmmFragmentation:",
-        "FreeByOrder:", "slab-16", "slab-2048", "CORE\tHITS", "core0", "Large: live"}) {
-    EXPECT_NE(out.find(expect), std::string::npos) << "missing " << expect << " in:\n" << out;
+       {"\ntotal_pages ", "\nfree_pages ", "\nlargest_block_pages ", "\nfrag_pct ",
+        "\norder0.free_blocks ", "\nclass16.live_objs ", "\nclass16.slabs ",
+        "\nclass2048.total_objs ", "\nclass2048.refills ", "\ncore0.hits ", "\ncore0.cached ",
+        "\nlarge_live ", "\nlarge_allocs "}) {
+    EXPECT_NE(out.find(expect), std::string::npos) << "missing " << expect << " in:" << out;
+  }
+  for (int o = 0; o < sys.kernel().pmm().num_orders(); ++o) {
+    EXPECT_NE(out.find("\norder" + std::to_string(o) + ".free_blocks "), std::string::npos) << o;
   }
   // The boot-time arena/DMA allocations went through the buddy allocator.
   EXPECT_GT(sys.kernel().pmm().stats().range_allocs, 0u);

@@ -447,37 +447,59 @@ TEST(ObservabilityBootTest, DevTraceAndTraceCoreutil) {
 TEST(ObservabilityBootTest, BlkstatAndMemstatStayCoherentWithMetrics) {
   System sys(OptionsForStage(Stage::kProto5));
   sys.Run(Ms(50));
-  // /proc/blkstat is the block.* slice of the registry: every line of it,
-  // with the prefix put back, must appear verbatim in /proc/metrics. One task
-  // snapshots both files back to back (procfs snapshots at open, and no
-  // block I/O runs between the two opens).
+  // /proc/blkstat is the block.* slice of the registry and /proc/memstat the
+  // pmm.* then slab.* slices: every line of them, with its prefix put back,
+  // must appear verbatim in /proc/metrics. One task snapshots the files back
+  // to back (procfs snapshots at open, and no block I/O or allocation runs
+  // between the opens).
   const std::size_t before = sys.SerialOutput().size();
   ASSERT_EQ(RunInOs(sys, "blk_coherence", [](AppEnv& env) -> int {
               std::vector<std::uint8_t> blk;
+              std::vector<std::uint8_t> mem;
               std::vector<std::uint8_t> metrics;
               if (uread_file(env, "/proc/blkstat", &blk) < 0 ||
+                  uread_file(env, "/proc/memstat", &mem) < 0 ||
                   uread_file(env, "/proc/metrics", &metrics) < 0) {
                 return 1;
               }
               uputs(env, std::string(blk.begin(), blk.end()) + "--\n" +
+                             std::string(mem.begin(), mem.end()) + "--\n" +
                              std::string(metrics.begin(), metrics.end()));
               return 0;
             }),
             0);
   const std::string out = sys.SerialOutput().substr(before);
-  const std::size_t sep = out.find("--\n");
-  ASSERT_NE(sep, std::string::npos) << out;
-  const std::string blk = out.substr(0, sep);
-  const std::string metrics = "\n" + out.substr(sep + 3);
-  std::istringstream lines(blk);
+  const std::size_t sep1 = out.find("--\n");
+  ASSERT_NE(sep1, std::string::npos) << out;
+  const std::size_t sep2 = out.find("--\n", sep1 + 3);
+  ASSERT_NE(sep2, std::string::npos) << out;
+  const std::string blk = out.substr(0, sep1);
+  const std::string mem = out.substr(sep1 + 3, sep2 - sep1 - 3);
+  // Keeps the separator's newline, so every metrics line is "\n"-led.
+  const std::string metrics = out.substr(sep2 + 2);
+  std::istringstream blk_lines(blk);
   std::string line;
   int n = 0;
-  while (std::getline(lines, line)) {
+  while (std::getline(blk_lines, line)) {
     EXPECT_NE(metrics.find("\nblock." + line + "\n"), std::string::npos) << line;
     ++n;
   }
   EXPECT_GE(n, 13) << blk;  // at least the ramdisk's 13 per-device counters
   EXPECT_NE(blk.find("ramdisk.reads "), std::string::npos) << blk;
+  std::istringstream mem_lines(mem);
+  int pmm_lines = 0;
+  int slab_lines = 0;
+  while (std::getline(mem_lines, line)) {
+    if (metrics.find("\npmm." + line + "\n") != std::string::npos) {
+      ++pmm_lines;
+    } else if (metrics.find("\nslab." + line + "\n") != std::string::npos) {
+      ++slab_lines;
+    } else {
+      ADD_FAILURE() << "memstat line not in /proc/metrics: " << line;
+    }
+  }
+  EXPECT_GE(pmm_lines, 12) << mem;  // 11 totals and op counters, plus orders
+  EXPECT_GE(slab_lines, 6) << mem;  // per-class, per-core and large-path gauges
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST(Sched, BroadcastWakeupHandlesManySleepers) {
   constexpr int kSleepers = 100;
   int woken = 0;
   for (int i = 0; i < kSleepers; ++i) {
-    k.CreateKernelTask("s" + std::to_string(i), [&] {
+    k.CreateKernelTask(std::string("s").append(std::to_string(i)), [&] {
       k.sched().Sleep(k.CurrentTask(), &chan);
       ++woken;
     });

@@ -400,6 +400,24 @@ TEST(StageGating, Proto4HasFilesButNoThreads) {
   EXPECT_EQ(sys.RunProgram("probe4"), 0);
 }
 
+TEST(StageGating, SubsystemMetricsFollowTheStage) {
+  // Each subsystem registers its own metrics when the stage boots it: no
+  // slab, block, journal or net names before Prototype 4/5, all of them at 5.
+  const char* kStaged[] = {"slab.", "block.", "jrnl.", "net."};
+  for (Stage stage : {Stage::kProto1, Stage::kProto3}) {
+    System sys(OptionsForStage(stage));
+    for (const char* prefix : kStaged) {
+      EXPECT_EQ(sys.kernel().metrics().ExportText(prefix), "")
+          << prefix << " at stage " << static_cast<int>(stage);
+    }
+    EXPECT_NE(sys.kernel().metrics().ExportText("pmm."), "");
+  }
+  System sys(OptionsForStage(Stage::kProto5));
+  for (const char* prefix : kStaged) {
+    EXPECT_NE(sys.kernel().metrics().ExportText(prefix), "") << prefix;
+  }
+}
+
 TEST_F(Proto5Test, CoreutilsEndToEnd) {
   SystemOptions opt = OptionsForStage(Stage::kProto5);
   std::string script =

@@ -17,6 +17,12 @@ directory (kernel-style "the subsystem owns its state"). A raw access from
 an unrelated file escapes this lint but not the dynamic checker.
 
 Mechanical details:
+  - Class members (trailing underscore, `tcbs_`) match as bare identifiers.
+    Struct fields without one (`Buf::dirty`, `CoreRq::switches`) match only
+    as member accesses, `.name` or `->name`, so a local that shares a
+    field's name (`const bool dirty = ...`) is not flagged. No struct with
+    such a field touches it bare from its own member functions outside an
+    RD_EXCLUDE_SCOPE (CoreRq::Len reads `q` inside one).
   - RD_READ/RD_WRITE/RD_ASSERT_HELD argument spans are removed with balanced
     parenthesis matching before searching, so `RD_WRITE(rq.q[LevelOf(t)])`
     does not trip on `q`.
@@ -28,6 +34,7 @@ Mechanical details:
     (otherwise it silently guards nothing).
 
 Exit status 0 = clean, 1 = findings (printed one per line, grep-style).
+`--self-test` runs the matcher over a built-in fixture instead of the tree.
 """
 
 import pathlib
@@ -99,13 +106,23 @@ def collect_marked_fields(files):
     return fields, findings
 
 
+def access_pattern(name: str):
+    """Bare identifier for `_`-suffixed class members, `.name`/`->name` else."""
+    if name.endswith("_"):
+        return re.compile(rf"\b{re.escape(name)}\b")
+    return re.compile(rf"(?:\.|->)\s*{re.escape(name)}\b")
+
+
 def lint_unit_file(path: pathlib.Path, names) -> list[str]:
+    return lint_text(path.relative_to(m.REPO), path.read_text(), names)
+
+
+def lint_text(rel, text: str, names) -> list[str]:
     findings = []
-    rel = path.relative_to(m.REPO)
-    patterns = {n: re.compile(rf"\b{re.escape(n)}\b") for n in names}
+    patterns = {n: access_pattern(n) for n in names}
     depth = 0
     exclude_depths = []  # brace depths at which an RD_EXCLUDE_SCOPE is live
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         code = strip_strings(m.strip_comment(line))
         if code.lstrip().startswith("#"):
             # Preprocessor lines (including the RD_* macro definitions
@@ -147,7 +164,35 @@ def strip_strings_keep(line: str) -> str:
     return m.strip_comment(line)
 
 
+SELF_TEST_FIXTURE = """\
+void Bcache::Sync(Buf* b) {
+  const bool dirty = b->valid && RD_READ(b->dirty);
+  b->dirty = dirty;
+  if (tcbs_.empty()) {
+    return;
+  }
+}
+"""
+
+
+def self_test() -> int:
+    """The fixture's raw `b->dirty` write and bare `tcbs_` must be flagged;
+    the local `dirty` and the RD_READ-wrapped read must not."""
+    got = lint_text("fixture.cc", SELF_TEST_FIXTURE, ["dirty", "tcbs_"])
+    flagged = sorted((int(f.split(":")[1]), re.search(r"field '(\w+)'", f).group(1)) for f in got)
+    want = [(3, "dirty"), (4, "tcbs_")]
+    if flagged != want:
+        print(f"lint_shared_state self-test FAILED: flagged {flagged}, want {want}")
+        for f in got:
+            print(f)
+        return 1
+    print("lint_shared_state self-test: ok")
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     files = m.source_files()
     fields, findings = collect_marked_fields(files)
     by_unit = {}
