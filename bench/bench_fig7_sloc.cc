@@ -53,7 +53,7 @@ const Subsystem kKernelSubsystems[] = {
     {"page allocator", 2, {"kernel/pmm"}},
     {"virtual memory + privileges", 3, {"kernel/vm"}},
     {"syscalls + exec", 3, {"kernel/syscall", "kernel/velf", "kernel/kernel"}},
-    {"file abstraction + vfs", 4, {"fs/vfs", "fs/devfs", "fs/procfs"}},
+    {"file abstraction + vfs", 4, {"fs/vfs", "fs/devfs"}},
     {"xv6fs + ramdisk + bcache + fsck", 4,
      {"fs/xv6fs", "fs/bcache", "fs/block_dev", "fs/fsimage", "fs/fsck"}},
     {"write-ahead journal + fault injection", 4, {"fs/journal", "fs/fault_inject"}},

@@ -1,5 +1,6 @@
 // Console utilities ported from xv6 (§3): ls, cat, echo, wc, grep, mkdir,
-// rm, ln, kill, plus the /proc-backed ps, free and uptime.
+// rm, ln, kill, plus ps and free (which read /proc/tasks and /proc/memstat)
+// and uptime (a syscall).
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -240,11 +241,20 @@ int PsMain(AppEnv& env) {
 
 int FreeMain(AppEnv& env) {
   std::vector<std::uint8_t> raw;
-  if (uread_file(env, "/proc/meminfo", &raw) < 0) {
+  if (uread_file(env, "/proc/memstat", &raw) < 0) {
     uprintf(env, "free: no procfs\n");
     return 1;
   }
-  uputs(env, std::string(raw.begin(), raw.end()));
+  const std::string mem(raw.begin(), raw.end());
+  std::uint64_t total = 0, free = 0;
+  if (!ParseMetricValue(mem, "total_pages", &total) ||
+      !ParseMetricValue(mem, "free_pages", &free)) {
+    uprintf(env, "free: no page counts in /proc/memstat\n");
+    return 1;
+  }
+  uprintf(env, "MemTotal: %llu kB\nMemFree: %llu kB\n",
+          static_cast<unsigned long long>(total * kPageSize / 1024),
+          static_cast<unsigned long long>(free * kPageSize / 1024));
   return 0;
 }
 

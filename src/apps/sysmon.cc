@@ -1,15 +1,14 @@
 // sysmon (Table 1): a floating, semi-transparent window visualizing realtime
-// CPU and memory usage, parsed from /proc/cpuinfo and /proc/meminfo — the
-// app that shows off the WM's alpha compositing (§4.5, Figure 1(m)).
-// PR 4 teaches it the observability files too: per-core context switches and
-// runqueue depth from /proc/schedstat, and the p99 syscall latency from
-// /proc/metrics. The profiler PR adds a TOP-style header (uptime, load,
-// per-core idle%) and a task table sorted by CPU share, fed by the per-task
-// accounting rows of /proc/schedstat.
+// CPU and memory usage — the app that shows off the WM's alpha compositing
+// (§4.5, Figure 1(m)). Like procps on Linux, it does its own presentation of
+// the kernel's numbers: per-core idle% and runqueue depth from
+// /proc/schedstat, page counts from /proc/memstat, the p99 syscall latency
+// from /proc/metrics, uptime from the uptime syscall, and a TOP-style task
+// table sorted by CPU share from /proc/tasks.
 #include <algorithm>
+#include <string>
 #include <vector>
 
-#include "src/fs/procfs.h"
 #include "src/ulib/minisdl.h"
 #include "src/ulib/pixel.h"
 #include "src/ulib/ustdio.h"
@@ -17,6 +16,17 @@
 
 namespace vos {
 namespace {
+
+std::string ReadText(AppEnv& env, const char* path) {
+  std::vector<std::uint8_t> raw;
+  uread_file(env, path, &raw);
+  return std::string(raw.begin(), raw.end());
+}
+
+struct CoreStat {
+  std::uint64_t idle_pct = 0;
+  std::uint64_t runq = 0;
+};
 
 int SysmonMain(AppEnv& env) {
   int iterations = env.argv.size() > 1 ? std::atoi(env.argv[1].c_str()) : 20;
@@ -29,31 +39,31 @@ int SysmonMain(AppEnv& env) {
   }
   PixelBuffer bb = sdl.backbuffer();
   for (int it = 0; it < iterations; ++it) {
-    std::vector<std::uint8_t> cpu_raw, mem_raw, sched_raw, metrics_raw;
-    uread_file(env, "/proc/cpuinfo", &cpu_raw);
-    uread_file(env, "/proc/meminfo", &mem_raw);
-    uread_file(env, "/proc/schedstat", &sched_raw);
-    uread_file(env, "/proc/metrics", &metrics_raw);
-    std::vector<double> utils;
-    std::uint64_t total_kb = 1, free_kb = 0;
-    std::string cpu_str(cpu_raw.begin(), cpu_raw.end());
-    ParseCpuUtilization(cpu_str, &utils);
-    ParseMemFree(std::string(mem_raw.begin(), mem_raw.end()), &total_kb, &free_kb);
-    std::string sched_str(sched_raw.begin(), sched_raw.end());
-    std::vector<ProcSchedLine> sched;
-    ParseSchedStat(sched_str, &sched);
-    std::vector<ProcTaskLine> ptasks;
-    ParseSchedTasks(sched_str, &ptasks);
-    std::uint64_t p99_ns = 0;
-    ParseMetricValue(std::string(metrics_raw.begin(), metrics_raw.end()), "syscall.latency.p99",
-                     &p99_ns);
-    // TOP header inputs: uptime from cpuinfo, load = total runnable backlog.
-    unsigned long long uptime_ms = 0;
-    (void)std::sscanf(cpu_str.c_str(), "uptime_ms: %llu", &uptime_ms);
+    const std::string sched_str = ReadText(env, "/proc/schedstat");
+    const std::string mem_str = ReadText(env, "/proc/memstat");
+    const std::string metrics_str = ReadText(env, "/proc/metrics");
+    std::vector<TaskRow> ptasks;
+    ParseTaskRows(ReadText(env, "/proc/tasks"), &ptasks);
+    // One entry per core that /proc/schedstat lists; load = total runnable
+    // backlog.
+    std::vector<CoreStat> cores;
     std::uint64_t load = 0;
-    for (const ProcSchedLine& c : sched) {
+    for (;;) {
+      const std::string pfx = "core" + std::to_string(cores.size()) + ".";
+      CoreStat c;
+      if (!ParseMetricValue(sched_str, pfx + "idle_pct", &c.idle_pct) ||
+          !ParseMetricValue(sched_str, pfx + "runq_depth", &c.runq)) {
+        break;
+      }
       load += c.runq;
+      cores.push_back(c);
     }
+    std::uint64_t total_pages = 1, free_pages = 0;
+    ParseMetricValue(mem_str, "total_pages", &total_pages);
+    ParseMetricValue(mem_str, "free_pages", &free_pages);
+    std::uint64_t p99_ns = 0;
+    ParseMetricValue(metrics_str, "syscall.latency.p99", &p99_ns);
+    const std::int64_t uptime_ms = uuptime_ms(env);
     UBurn(env, 25000);  // parsing + chart math
 
     FillRect(env, bb, 0, 0, kW, kH, Rgb(18, 22, 30));
@@ -64,23 +74,23 @@ int SysmonMain(AppEnv& env) {
                   static_cast<unsigned long long>(load));
     DrawText(env, bb, 64, 4, hdr, Rgb(170, 180, 200), 1);
     // Per-core utilization bars.
-    for (std::size_t c = 0; c < utils.size() && c < 4; ++c) {
-      int bar_w = static_cast<int>(utils[c] * 120);
+    for (std::size_t c = 0; c < cores.size() && c < 4; ++c) {
+      int busy_pct = 100 - static_cast<int>(std::min<std::uint64_t>(cores[c].idle_pct, 100));
+      int bar_w = busy_pct * 120 / 100;
       char label[16];
       std::snprintf(label, sizeof(label), "C%zu", c);
       DrawText(env, bb, 6, 18 + static_cast<int>(c) * 14, label, Rgb(200, 200, 200), 1);
       FillRect(env, bb, 28, 18 + static_cast<int>(c) * 14, 120, 8, Rgb(40, 46, 60));
       FillRect(env, bb, 28, 18 + static_cast<int>(c) * 14, bar_w, 8, Rgb(90, 230, 120));
-      if (c < sched.size()) {
-        // idle% since boot plus the runqueue depth for this core.
-        char sw[24];
-        std::snprintf(sw, sizeof(sw), "i%d q%llu", static_cast<int>(sched[c].idle_pct),
-                      static_cast<unsigned long long>(sched[c].runq));
-        DrawText(env, bb, 152, 18 + static_cast<int>(c) * 14, sw, Rgb(140, 150, 170), 1);
-      }
+      // idle% since boot plus the runqueue depth for this core.
+      char sw[24];
+      std::snprintf(sw, sizeof(sw), "i%llu q%llu",
+                    static_cast<unsigned long long>(cores[c].idle_pct),
+                    static_cast<unsigned long long>(cores[c].runq));
+      DrawText(env, bb, 152, 18 + static_cast<int>(c) * 14, sw, Rgb(140, 150, 170), 1);
     }
     // Memory bar.
-    double used = total_kb > 0 ? 1.0 - double(free_kb) / double(total_kb) : 0;
+    double used = total_pages > 0 ? 1.0 - double(free_pages) / double(total_pages) : 0;
     DrawText(env, bb, 6, 78, "MEM", Rgb(200, 200, 200), 1);
     FillRect(env, bb, 34, 78, 120, 10, Rgb(40, 46, 60));
     FillRect(env, bb, 34, 78, static_cast<int>(used * 120), 10, Rgb(250, 170, 90));
@@ -94,17 +104,15 @@ int SysmonMain(AppEnv& env) {
     DrawText(env, bb, 6, 108, lat, Rgb(130, 220, 255), 1);
     // TOP-style task table: biggest CPU consumers first, share of total
     // accounted CPU time. utime vs stime split rides in the second column.
-    std::stable_sort(ptasks.begin(), ptasks.end(), [](const ProcTaskLine& a,
-                                                      const ProcTaskLine& b) {
-      return a.cpu_ms > b.cpu_ms;
-    });
+    std::stable_sort(ptasks.begin(), ptasks.end(),
+                     [](const TaskRow& a, const TaskRow& b) { return a.cpu_ms > b.cpu_ms; });
     std::uint64_t total_cpu = 0;
-    for (const ProcTaskLine& t : ptasks) {
+    for (const TaskRow& t : ptasks) {
       total_cpu += t.cpu_ms;
     }
     DrawText(env, bb, 6, 122, "PID CPU% U/S NAME", Rgb(130, 220, 255), 1);
     for (std::size_t i = 0; i < ptasks.size() && i < 5; ++i) {
-      const ProcTaskLine& t = ptasks[i];
+      const TaskRow& t = ptasks[i];
       int share = total_cpu > 0 ? static_cast<int>(t.cpu_ms * 100 / total_cpu) : 0;
       char row[40];
       std::snprintf(row, sizeof(row), "%-3d %2d%% %llu/%llu %.7s", t.pid, share,

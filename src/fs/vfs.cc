@@ -104,7 +104,7 @@ std::int64_t Vfs::Open(Task* t, const std::string& upath, std::uint32_t flags, F
         return kErrNoEnt;
       }
       f->kind = FileKind::kProc;
-      f->proc_snapshot = it->second();  // snapshot semantics
+      f->proc_snapshot = it->second.read();  // snapshot semantics
       break;
     }
     case Realm::kFat: {
@@ -301,12 +301,12 @@ std::int64_t Vfs::Write(Task* t, File& f, const std::uint8_t* src, std::uint32_t
       // writer; everything else stays read-only.
       std::string rest;
       RealmOf(f.path, &rest);
-      auto it = proc_writers_.find(rest);
-      if (it == proc_writers_.end()) {
+      auto it = proc_.find(rest);
+      if (it == proc_.end() || !it->second.write) {
         return kErrPerm;
       }
       *burn += cfg_.cost.syscall_body;
-      std::int64_t r = it->second(std::string(reinterpret_cast<const char*>(src), n));
+      std::int64_t r = it->second.write(std::string(reinterpret_cast<const char*>(src), n));
       return r < 0 ? r : n;
     }
     case FileKind::kSocket:  // the socket syscalls serve these fds
@@ -556,7 +556,7 @@ std::int64_t Vfs::ReadDir(Task* t, const std::string& upath, std::vector<DirEntr
       }
       return 0;
     case Realm::kProc:
-      for (const auto& [name, gen] : proc_) {
+      for (const auto& [name, node] : proc_) {
         out->push_back(DirEntryInfo{name, false, 0});
       }
       return 0;

@@ -108,15 +108,13 @@ class Vfs {
 
   void RegisterDevice(const std::string& name, DevNode* node) { devices_[name] = node; }
   DevNode* Device(const std::string& name) const;
-  void RegisterProc(const std::string& name, std::function<std::string()> gen) {
-    proc_[name] = std::move(gen);
-  }
-  // Writable /proc entries (e.g. /proc/faultinject): the writer receives the
-  // full write payload and returns 0 or a negative Err. Entries without a
-  // registered writer reject writes with kErrPerm.
-  void RegisterProcWriter(const std::string& name,
-                          std::function<std::int64_t(const std::string&)> fn) {
-    proc_writers_[name] = std::move(fn);
+  // A /proc file: `read` renders the body at open (snapshot semantics). A
+  // command file (e.g. /proc/faultinject) also has a `write` that receives
+  // the full write payload and returns 0 or a negative Err; files without
+  // one reject writes with kErrPerm.
+  void RegisterProc(const std::string& name, std::function<std::string()> read,
+                    std::function<std::int64_t(const std::string&)> write = nullptr) {
+    proc_[name] = ProcNode{std::move(read), std::move(write)};
   }
 
   // The net stack's socket teardown, installed at boot when networking is
@@ -166,8 +164,11 @@ class Vfs {
   const KernelConfig& cfg_;
   std::vector<std::pair<std::string, FatVolume*>> fat_mounts_;  // (mount point, volume)
   std::map<std::string, DevNode*> devices_;
-  std::map<std::string, std::function<std::string()>> proc_;
-  std::map<std::string, std::function<std::int64_t(const std::string&)>> proc_writers_;
+  struct ProcNode {
+    std::function<std::string()> read;
+    std::function<std::int64_t(const std::string&)> write;
+  };
+  std::map<std::string, ProcNode> proc_;
   std::function<void(const std::shared_ptr<Socket>&)> socket_closer_;
 };
 

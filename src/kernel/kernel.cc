@@ -2,11 +2,11 @@
 
 #include <cstdarg>
 #include <cstring>
+#include <sstream>
 
 #include "src/base/log.h"
 #include "src/base/status.h"
 #include "src/apps/app_registry.h"
-#include "src/fs/procfs.h"
 #include "src/kernel/unwind.h"
 #include "src/wm/wm.h"
 
@@ -307,98 +307,37 @@ Kernel::BootReport Kernel::Boot() {
     vfs_->RegisterDevice("null", null_dev_.get());
     vfs_->RegisterDevice("sb", audio_driver_.get());
 
-    // procfs generators.
-    vfs_->RegisterProc("cpuinfo", [this] {
-      std::vector<ProcCpuLine> lines;
-      for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-        lines.push_back(ProcCpuLine{c, machine_.Utilization(c), sched_.context_switches(c)});
-      }
-      return FormatCpuInfo(lines, static_cast<std::uint64_t>(ToMs(Now())));
-    });
-    vfs_->RegisterProc("meminfo", [this] {
-      return FormatMemInfo(pmm_->total_pages(), pmm_->free_pages(), kKernelReservedEnd);
-    });
-    vfs_->RegisterProc("uptime",
-                       [this] { return FormatUptime(static_cast<std::uint64_t>(ToMs(Now()))); });
-    vfs_->RegisterProc("tasks", [this] {
-      std::vector<ProcTaskLine> lines;
-      for (auto& [pid, t] : tasks_) {
-        const char* st = "?";
-        switch (t->state) {
-          case TaskState::kEmbryo:
-            st = "embryo";
-            break;
-          case TaskState::kRunnable:
-            st = "runnable";
-            break;
-          case TaskState::kRunning:
-            st = "running";
-            break;
-          case TaskState::kSleeping:
-            st = "sleeping";
-            break;
-          case TaskState::kZombie:
-            st = "zombie";
-            break;
-        }
-        lines.push_back(
-            ProcTaskLine{pid, t->name(), st, static_cast<std::uint64_t>(ToMs(t->cpu_time))});
-      }
-      return FormatTasks(lines);
-    });
+    // /proc: every file is a slice of the metrics registry (prefix
+    // stripped: "ramdisk.reads 12", "core0.ctx_switches 54"), a table of
+    // objects formatted by their owner, or a command file with a writer.
+    vfs_->RegisterProc("tasks", [this] { return TasksText(); });
     vfs_->RegisterProc("fbinfo", [this] {
       return std::to_string(fb_driver_->width()) + " " + std::to_string(fb_driver_->height()) +
              " " + std::to_string(fb_driver_->pitch()) + "\n";
     });
-    // /proc/blkstat, /proc/jrnl and /proc/memstat are slices of the metrics
-    // registry, prefix stripped ("ramdisk.reads 12", "active 1").
     vfs_->RegisterProc("blkstat", [this] { return metrics_.ExportText("block."); });
     vfs_->RegisterProc("jrnl", [this] { return metrics_.ExportText("jrnl."); });
     vfs_->RegisterProc("memstat", [this] {
       return metrics_.ExportText("pmm.") + metrics_.ExportText("slab.");
     });
-    // /proc/faultinject: read shows injector state and fault counters; write
-    // accepts the command language (see FaultInjector::Command).
-    vfs_->RegisterProc("faultinject", [this] { return fault_->StatusText(); });
-    vfs_->RegisterProcWriter("faultinject",
-                             [this](const std::string& text) { return fault_->Command(text); });
-    // /proc/profile: read dumps the folded-stack aggregation (header + one
-    // line per unique stack); write accepts start/stop/reset.
-    vfs_->RegisterProc("profile", [this] { return profiler_.ExportText(); });
-    vfs_->RegisterProcWriter(
-        "profile", [this](const std::string& text) { return profiler_.Command(text, Now()); });
-    vfs_->RegisterProc("lockdep", [] { return Lockdep::Instance().Report(); });
-    vfs_->RegisterProc("racedet", [] { return Racedet::Instance().Report(); });
-    vfs_->RegisterProc("metrics", [this] { return metrics_.ExportText(); });
+    vfs_->RegisterProc("schedstat", [this] { return metrics_.ExportText("sched."); });
     // Write "buckets on|off" to toggle raw histogram bucket export (the
     // percentile summary stays the default view).
-    vfs_->RegisterProcWriter("metrics",
-                             [this](const std::string& text) { return metrics_.Command(text); });
-    vfs_->RegisterProc("schedstat", [this] {
-      std::vector<ProcSchedLine> cores;
-      for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-        cores.push_back(ProcSchedLine{c, sched_.context_switches(c), sched_.runqueue_len(c),
-                                      sched_.steals(c), sched_.migrations(c),
-                                      (1.0 - machine_.Utilization(c)) * 100.0});
-      }
-      std::vector<ProcTaskLine> tasks;
-      for (auto& [pid, t] : tasks_) {
-        ProcTaskLine l;
-        l.pid = pid;
-        l.name = t->name();
-        l.cpu_ms = ToMs(t->cpu_time);
-        l.level = t->mlfq_level;
-        // stime = kernel domain; utime = user + user-lib (the split Machine
-        // charges per activation).
-        l.stime_ms = ToMs(t->time_by_domain[static_cast<int>(TimeDomain::kKernel)]);
-        l.utime_ms = ToMs(t->time_by_domain[static_cast<int>(TimeDomain::kUser)] +
-                          t->time_by_domain[static_cast<int>(TimeDomain::kUserLib)]);
-        l.syscalls = t->syscall_count;
-        l.blocked_ms = ToMs(t->blocked_time);
-        tasks.push_back(std::move(l));
-      }
-      return FormatSchedStat(cores, tasks);
-    });
+    vfs_->RegisterProc(
+        "metrics", [this] { return metrics_.ExportText(); },
+        [this](const std::string& text) { return metrics_.Command(text); });
+    // /proc/faultinject: read shows injector state and fault counters; write
+    // accepts the command language (see FaultInjector::Command).
+    vfs_->RegisterProc(
+        "faultinject", [this] { return fault_->StatusText(); },
+        [this](const std::string& text) { return fault_->Command(text); });
+    // /proc/profile: read dumps the folded-stack aggregation (header + one
+    // line per unique stack); write accepts start/stop/reset.
+    vfs_->RegisterProc(
+        "profile", [this] { return profiler_.ExportText(); },
+        [this](const std::string& text) { return profiler_.Command(text, Now()); });
+    vfs_->RegisterProc("lockdep", [] { return Lockdep::Instance().Report(); });
+    vfs_->RegisterProc("racedet", [] { return Racedet::Instance().Report(); });
     trace_dev_ = std::make_unique<TraceDev>(trace_);
     vfs_->RegisterDevice("trace", trace_dev_.get());
 
@@ -453,9 +392,9 @@ Kernel::BootReport Kernel::Boot() {
     net_->Init();
     board_.intc().Enable(kIrqEth);
     vfs_->SetSocketCloser([this](const std::shared_ptr<Socket>& s) { net_->CloseSocket(s); });
-    vfs_->RegisterProc("netstat", [this] { return net_->NetstatText(); });
-    vfs_->RegisterProcWriter("netstat",
-                             [this](const std::string& text) { return net_->Control(text); });
+    vfs_->RegisterProc(
+        "netstat", [this] { return net_->NetstatText(); },
+        [this](const std::string& text) { return net_->Control(text); });
   }
 
   r.core = core;
@@ -674,6 +613,26 @@ std::vector<Task*> Kernel::AllTasks() {
     out.push_back(t.get());
   }
   return out;
+}
+
+std::string Kernel::TasksText() const {
+  static constexpr const char* kStateNames[] = {"embryo", "runnable", "running", "sleeping",
+                                                "zombie"};
+  constexpr int kKern = static_cast<int>(TimeDomain::kKernel);
+  constexpr int kUser = static_cast<int>(TimeDomain::kUser);
+  constexpr int kLib = static_cast<int>(TimeDomain::kUserLib);
+  auto ms = [](Cycles c) { return static_cast<std::uint64_t>(ToMs(c)); };
+  std::ostringstream os;
+  os << "PID\tSTATE\tCPU_MS\tUTIME_MS\tSTIME_MS\tSYSCALLS\tBLOCKED_MS\tLEVEL\tNAME\n";
+  for (const auto& [pid, t] : tasks_) {
+    // stime = kernel domain; utime = user + user-lib (the split Machine
+    // charges per activation).
+    const Cycles* d = t->time_by_domain;
+    os << pid << '\t' << kStateNames[static_cast<int>(t->state)] << '\t' << ms(t->cpu_time)
+       << '\t' << ms(d[kUser] + d[kLib]) << '\t' << ms(d[kKern]) << '\t' << t->syscall_count
+       << '\t' << ms(t->blocked_time) << '\t' << t->mlfq_level << '\t' << t->name() << '\n';
+  }
+  return os.str();
 }
 
 void Kernel::KSleepMs(std::uint64_t ms) {

@@ -292,6 +292,8 @@ class Kernel final : public MachineClient {
   // Adds `raw` as a block device and mounts its FAT volume at `at` if the
   // volume mounts. Returns the mount's virtual time.
   Cycles MountFatDevice(BlockDevice* raw, const std::string& name, const std::string& at);
+  // The /proc/tasks body: a header, then one tab-separated row per task.
+  std::string TasksText() const;
   void FlusherBody();  // bflush kernel thread: periodic aged-dirty write-back
   void WatchdogBody();  // hung-task/softlockup watchdog kernel thread
   // One watchdog bark: klog backtrace + kWatchdogBark + counter. `offender`

@@ -1,8 +1,9 @@
 // Central metrics registry (§5.1): named monotonic counters, gauges
 // (callbacks into subsystem state), and latency histograms, registered at
 // subsystem init and exported as /proc/metrics ("name value" per line).
-// Per-subsystem /proc views (/proc/blkstat, /proc/jrnl) are the same export
-// restricted to one name prefix.
+// Per-subsystem /proc views (/proc/schedstat, /proc/blkstat, /proc/jrnl,
+// /proc/memstat, and the counter lines of /proc/netstat) are the same
+// export restricted to one name prefix.
 //
 // Naming convention: dotted lowercase paths, subsystem first —
 // "block.ramdisk.reads", "sched.core0.ctx_switches", "syscall.sleep.latency".

@@ -89,23 +89,44 @@ void NetStack::Init() {
     SpinGuard n(nic_lock_);
     nic_.SetIrqCoalesce(kIrqCoalesceFrames, Us(kIrqCoalesceUs));
   }
-  // Gauges snapshot token-serialized counters, like every other subsystem.
+  // Gauges snapshot token-serialized counters, like every other subsystem;
+  // /proc/netstat prints the same net.* slice.
+  const NetStats& st = stats();
+  auto stat = [this](const char* name, const std::uint64_t& v) {
+    metrics_.Gauge(name, [&v] { return v; });
+  };
+  stat("net.ip.tx", st.ip_tx);
+  stat("net.ip.rx", st.ip_rx);
+  stat("net.ip.drops", st.ip_drop);
+  stat("net.ip.csum_drops", st.csum_drop);
+  stat("net.arp.tx", st.arp_tx);
+  stat("net.arp.rx", st.arp_rx);
+  stat("net.udp.tx", st.udp_tx);
+  stat("net.udp.rx", st.udp_rx);
+  stat("net.udp.drops", st.udp_drop);
+  stat("net.tcp.segs_tx", st.tcp_seg_tx);
+  stat("net.tcp.segs_rx", st.tcp_seg_rx);
+  stat("net.tcp.retransmits", st.tcp_retransmit);
+  stat("net.tcp.active_opens", st.tcp_active_open);
+  stat("net.tcp.passive_opens", st.tcp_passive_open);
+  stat("net.tcp.established", st.tcp_established);
+  stat("net.tcp.resets_tx", st.tcp_rst_tx);
+  stat("net.tcp.resets_rx", st.tcp_rst_rx);
+  stat("net.tcp.accept_drops", st.tcp_accept_drop);
+  stat("net.tcp.ooo_drops", st.tcp_ooo_drop);
   metrics_.Gauge("net.nic.tx_frames", [this] { return nic_.tx_frames(); });
   metrics_.Gauge("net.nic.rx_frames", [this] { return nic_.rx_frames(); });
   metrics_.Gauge("net.nic.tx_bytes", [this] { return nic_.tx_bytes(); });
   metrics_.Gauge("net.nic.rx_bytes", [this] { return nic_.rx_bytes(); });
   metrics_.Gauge("net.nic.link_dropped", [this] { return nic_.link_dropped(); });
+  metrics_.Gauge("net.nic.tx_ring_full", [this] { return nic_.tx_ring_full(); });
+  metrics_.Gauge("net.nic.rx_ring_full", [this] { return nic_.rx_ring_full(); });
   metrics_.Gauge("net.nic.irqs_raised", [this] { return nic_.irqs_raised(); });
   metrics_.Gauge("net.nic.irqs_coalesced", [this] { return nic_.irqs_coalesced(); });
-  metrics_.Gauge("net.tcp.established", [this] { return stats().tcp_established; });
-  metrics_.Gauge("net.tcp.retransmits", [this] { return stats().tcp_retransmit; });
-  metrics_.Gauge("net.tcp.accept_drops", [this] { return stats().tcp_accept_drop; });
-  metrics_.Gauge("net.tcp.resets_tx", [this] { return stats().tcp_rst_tx; });
   metrics_.Gauge("net.tcbs", [this] { return static_cast<std::uint64_t>(tcb_count()); });
   metrics_.Gauge("net.sockets", [this] {
     return sockets_live_;  // racedet: ok (token-serialized snapshot)
   });
-  metrics_.Gauge("net.udp.rx", [this] { return stats().udp_rx; });
 }
 
 // --- Output path ------------------------------------------------------------
@@ -119,8 +140,7 @@ void NetStack::TxFrame(const std::uint8_t* frame, std::size_t len, Cycles* burn)
   }
   Charge(burn, local);
   if (!ok) {
-    ++stats_.tx_drop;
-    return;
+    return;  // the NIC counts it: net.nic.tx_ring_full
   }
   trace_.Emit(clock_.now(), 0, TraceEvent::kNetTx, 0, len);
 }
@@ -337,25 +357,10 @@ std::uint16_t NetStack::AllocEphemeralPort(std::uint32_t rip, std::uint16_t rpor
 // --- /proc/netstat ----------------------------------------------------------
 
 std::string NetStack::NetstatText() const {
-  SpinGuard g(lock_);
   std::ostringstream os;
   os << "ip " << IpStr(cfg_.net_ip) << " mtu " << kNetMtu << "\n";
-  os << "ip_tx " << stats_.ip_tx << " ip_rx " << stats_.ip_rx << " ip_drop " << stats_.ip_drop
-     << " csum_drop " << stats_.csum_drop << "\n";
-  os << "arp_tx " << stats_.arp_tx << " arp_rx " << stats_.arp_rx << "\n";
-  os << "udp_tx " << stats_.udp_tx << " udp_rx " << stats_.udp_rx << " udp_drop "
-     << stats_.udp_drop << "\n";
-  os << "tcp_seg_tx " << stats_.tcp_seg_tx << " tcp_seg_rx " << stats_.tcp_seg_rx
-     << " retransmit " << stats_.tcp_retransmit << "\n";
-  os << "tcp_open active " << stats_.tcp_active_open << " passive " << stats_.tcp_passive_open
-     << " established " << stats_.tcp_established << "\n";
-  os << "tcp_rst_tx " << stats_.tcp_rst_tx << " tcp_rst_rx " << stats_.tcp_rst_rx
-     << " accept_drop " << stats_.tcp_accept_drop << " ooo_drop " << stats_.tcp_ooo_drop << "\n";
-  os << "nic tx " << nic_.tx_frames() << "/" << nic_.tx_bytes() << "B rx " << nic_.rx_frames()
-     << "/" << nic_.rx_bytes() << "B link_drop " << nic_.link_dropped() << " tx_ring_full "
-     << nic_.tx_ring_full() << " rx_ring_full " << nic_.rx_ring_full() << "\n";
-  os << "nic irqs " << nic_.irqs_raised() << " coalesced " << nic_.irqs_coalesced() << "\n";
-  os << "sockets " << RD_READ(sockets_live_) << " tcbs " << RD_READ(tcbs_).size() << "\n";
+  os << metrics_.ExportText("net.");  // gauges evaluate outside the net lock
+  SpinGuard g(lock_);
   for (const auto& [key, t] : RD_READ(tcbs_)) {
     (void)key;
     os << "tcb " << IpStr(t->local_ip) << ":" << t->local_port << " " << IpStr(t->remote_ip)

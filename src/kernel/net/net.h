@@ -217,7 +217,6 @@ struct NetStats {
   std::uint64_t tcp_rst_rx = 0;
   std::uint64_t tcp_accept_drop = 0;  // SYN dropped: backlog full
   std::uint64_t tcp_ooo_drop = 0;     // out-of-order/overflow payload dropped
-  std::uint64_t tx_drop = 0;          // NIC TX ring full
 };
 
 // --- The stack --------------------------------------------------------------
@@ -255,6 +254,7 @@ class NetStack {
   Cycles OnNicIrq(Cycles now);
 
   // --- /proc/netstat ---
+  // The address line, the net.* registry slice, then one row per TCB.
   std::string NetstatText() const;
   // Command language: "loss <ppm>" | "latency_us <n>" | "seed <n>" |
   // "coalesce <frames> <us>". Returns 0 or a negative errno.

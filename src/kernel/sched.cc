@@ -320,7 +320,7 @@ void Sched::WakeTaskLocked(Task* t) {
   t->sleep_chan = nullptr;
   t->state = TaskState::kRunnable;
   // Blocked-time accounting (always on): sleep→wakeup wall time, surfaced in
-  // /proc/schedstat. The profiler hook turns the same interval into an
+  // /proc/tasks. The profiler hook turns the same interval into an
   // off-CPU sample against the stack captured at Sleep.
   Cycles now = NowStamp();
   Cycles blocked = t->sleep_since != 0 && now > t->sleep_since ? now - t->sleep_since : 0;

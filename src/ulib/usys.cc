@@ -1,5 +1,8 @@
 #include "src/ulib/usys.h"
 
+#include <cstdio>
+#include <sstream>
+
 #include "src/base/status.h"
 
 namespace vos {
@@ -243,6 +246,44 @@ std::int64_t uread_file(AppEnv& env, const std::string& path, std::vector<std::u
   uclose(env, static_cast<int>(fd));
   out->resize(static_cast<std::size_t>(total));
   return total;
+}
+
+bool ParseMetricValue(const std::string& text, const std::string& name, std::uint64_t* out) {
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    unsigned long long v;
+    if (line.size() > name.size() && line.compare(0, name.size(), name) == 0 &&
+        line[name.size()] == ' ' && std::sscanf(line.c_str() + name.size() + 1, "%llu", &v) == 1) {
+      *out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ParseTaskRows(const std::string& tasks, std::vector<TaskRow>* out) {
+  out->clear();
+  std::istringstream is(tasks);
+  std::string line;
+  while (std::getline(is, line)) {
+    TaskRow t;
+    char state[16];
+    char name[64];
+    unsigned long long cpu, ut, st, sys, bl;
+    if (std::sscanf(line.c_str(), "%d %15s %llu %llu %llu %llu %llu %d %63s", &t.pid, state, &cpu,
+                    &ut, &st, &sys, &bl, &t.level, name) == 9) {
+      t.state = state;
+      t.cpu_ms = cpu;
+      t.utime_ms = ut;
+      t.stime_ms = st;
+      t.syscalls = sys;
+      t.blocked_ms = bl;
+      t.name = name;
+      out->push_back(std::move(t));
+    }
+  }
+  return !out->empty();
 }
 
 void uensure_stdio(AppEnv& env) {

@@ -116,6 +116,27 @@ std::int64_t usend_all(AppEnv& env, int fd, const void* buf, std::uint32_t n);
 // Reads a whole file into memory; negative Err on failure.
 std::int64_t uread_file(AppEnv& env, const std::string& path, std::vector<std::uint8_t>* out);
 
+// --- /proc readers ------------------------------------------------------------
+
+// A registry slice (/proc/metrics, /proc/schedstat, /proc/memstat, ...) is
+// "name value" lines; finds `name` exactly and stores its value.
+bool ParseMetricValue(const std::string& text, const std::string& name, std::uint64_t* out);
+
+// One /proc/tasks row.
+struct TaskRow {
+  int pid = 0;
+  std::string state;
+  std::uint64_t cpu_ms = 0;
+  std::uint64_t utime_ms = 0;  // user + user-lib time
+  std::uint64_t stime_ms = 0;  // kernel time
+  std::uint64_t syscalls = 0;
+  std::uint64_t blocked_ms = 0;  // cumulative sleep->wakeup time
+  int level = 0;                 // MLFQ level (always 0 under the rr policy)
+  std::string name;
+};
+// The rows of a /proc/tasks body (its header skipped); false if none.
+bool ParseTaskRows(const std::string& tasks, std::vector<TaskRow>* out);
+
 // Opens /dev/console as fds 0/1/2 if the task has no stdio yet (what init
 // does in xv6; crt calls this).
 void uensure_stdio(AppEnv& env);

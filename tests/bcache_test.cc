@@ -17,12 +17,11 @@
 #include "src/fs/bcache.h"
 #include "src/fs/fault_inject.h"
 #include "src/fs/fsck.h"
-#include "src/fs/procfs.h"
 #include "src/fs/xv6fs.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -499,15 +498,6 @@ TEST_F(BcacheFsTest, FsckCleanAfterFlushAll) {
 }
 
 // --- Syscalls + /proc/blkstat on a booted system -----------------------------
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 TEST(BcacheOsTest, FsyncAndSyncSyscallsDrainDirtyBuffers) {
   System sys(OptionsForStage(Stage::kProto5));

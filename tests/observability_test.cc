@@ -15,16 +15,15 @@
 
 #include "src/apps/app_registry.h"
 #include "src/base/histogram.h"
-#include "src/fs/procfs.h"
 #include "src/kernel/lockdep.h"
 #include "src/kernel/metrics.h"
 #include "src/kernel/spinlock.h"
 #include "src/kernel/trace.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/ustdio.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -271,23 +270,6 @@ TEST(MetricsTest, GaugeCallbacksRunOutsideTheMetricsLock) {
 
 // --- Full-boot integration ------------------------------------------------
 
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
-
-// Serial output accumulates; capture only what a program printed.
-std::string RunAndCapture(System& sys, const std::string& prog,
-                          const std::vector<std::string>& args) {
-  const std::size_t before = sys.SerialOutput().size();
-  EXPECT_EQ(sys.RunProgram(prog, args), 0) << prog;
-  return sys.SerialOutput().substr(before);
-}
-
 TEST(ObservabilityBootTest, ProcMetricsCountersAreMonotonic) {
   System sys(OptionsForStage(Stage::kProto5));
   EXPECT_EQ(RunInOs(sys, "obs_warm", [](AppEnv& env) -> int {
@@ -360,57 +342,25 @@ TEST(ObservabilityBootTest, ProcSchedstatReportsPerCoreLines) {
             }),
             0);
   const std::string out = RunAndCapture(sys, "cat", {"/proc/schedstat"});
-  std::vector<ProcSchedLine> cores;
-  ASSERT_TRUE(ParseSchedStat(out, &cores)) << out;
-  EXPECT_EQ(cores.size(), sys.options().cores);
   std::uint64_t total_switches = 0;
-  for (const ProcSchedLine& c : cores) {
-    total_switches += c.switches;
-    EXPECT_GE(c.idle_pct, 0.0);
-    EXPECT_LE(c.idle_pct, 100.0);
+  for (unsigned c = 0; c < sys.options().cores; ++c) {
+    const std::string pfx = "core" + std::to_string(c) + ".";
+    std::uint64_t switches = 0, idle_pct = 0, v = 0;
+    ASSERT_TRUE(ParseMetricValue(out, pfx + "ctx_switches", &switches)) << out;
+    ASSERT_TRUE(ParseMetricValue(out, pfx + "idle_pct", &idle_pct)) << out;
+    EXPECT_TRUE(ParseMetricValue(out, pfx + "runq_depth", &v)) << out;
+    EXPECT_TRUE(ParseMetricValue(out, pfx + "steals", &v)) << out;
+    EXPECT_TRUE(ParseMetricValue(out, pfx + "migrations", &v)) << out;
+    total_switches += switches;
+    EXPECT_LE(idle_pct, 100u);
   }
   EXPECT_GT(total_switches, 0u);
-  // Per-task accounting rides along after the core lines.
-  EXPECT_NE(out.find("pid "), std::string::npos) << out;
-  EXPECT_NE(out.find("cpu_ms "), std::string::npos) << out;
-
-  // /proc/cpuinfo reports the same per-core switch counts. One task reads
-  // both files back to back (procfs snapshots at open) so no switch lands
-  // between the two snapshots.
-  const std::size_t before = sys.SerialOutput().size();
-  ASSERT_EQ(RunInOs(sys, "cpu_coherence", [](AppEnv& env) -> int {
-              std::vector<std::uint8_t> cpu;
-              std::vector<std::uint8_t> sched;
-              if (uread_file(env, "/proc/cpuinfo", &cpu) < 0 ||
-                  uread_file(env, "/proc/schedstat", &sched) < 0) {
-                return 1;
-              }
-              uputs(env, std::string(cpu.begin(), cpu.end()) + "--\n" +
-                             std::string(sched.begin(), sched.end()));
-              return 0;
-            }),
-            0);
-  const std::string both = sys.SerialOutput().substr(before);
-  const std::size_t sep = both.find("--\n");
-  ASSERT_NE(sep, std::string::npos) << both;
-  std::vector<ProcSchedLine> sched_cores;
-  ASSERT_TRUE(ParseSchedStat(both.substr(sep + 3), &sched_cores)) << both;
-  std::istringstream cpu_lines(both.substr(0, sep));
-  std::string line;
-  unsigned seen = 0;
-  while (std::getline(cpu_lines, line)) {
-    unsigned core = 0;
-    double util = 0;
-    unsigned long long switches = 0;
-    if (std::sscanf(line.c_str(), "cpu%u: util %lf%% switches %llu", &core, &util, &switches) !=
-        3) {
-      continue;
-    }
-    ASSERT_LT(core, sched_cores.size()) << line;
-    EXPECT_EQ(switches, sched_cores[core].switches) << line;
-    ++seen;
-  }
-  EXPECT_EQ(seen, sys.options().cores) << both;
+  std::uint64_t v = 0;
+  EXPECT_FALSE(ParseMetricValue(out, "core" + std::to_string(sys.options().cores) + ".idle_pct",
+                                &v))
+      << out;
+  // The per-task rows live in /proc/tasks now.
+  EXPECT_EQ(out.find("pid "), std::string::npos) << out;
 }
 
 TEST(ObservabilityBootTest, DevTraceAndTraceCoreutil) {
@@ -447,46 +397,66 @@ TEST(ObservabilityBootTest, DevTraceAndTraceCoreutil) {
 TEST(ObservabilityBootTest, BlkstatAndMemstatStayCoherentWithMetrics) {
   System sys(OptionsForStage(Stage::kProto5));
   sys.Run(Ms(50));
-  // /proc/blkstat is the block.* slice of the registry and /proc/memstat the
+  // /proc/blkstat, /proc/schedstat and netstat's counter lines are the
+  // block.*, sched.* and net.* slices of the registry, and /proc/memstat the
   // pmm.* then slab.* slices: every line of them, with its prefix put back,
   // must appear verbatim in /proc/metrics. One task snapshots the files back
-  // to back (procfs snapshots at open, and no block I/O or allocation runs
-  // between the opens).
+  // to back (procfs snapshots at open, and no block I/O, allocation, switch
+  // or frame runs between the opens).
   const std::size_t before = sys.SerialOutput().size();
   ASSERT_EQ(RunInOs(sys, "blk_coherence", [](AppEnv& env) -> int {
-              std::vector<std::uint8_t> blk;
-              std::vector<std::uint8_t> mem;
-              std::vector<std::uint8_t> metrics;
-              if (uread_file(env, "/proc/blkstat", &blk) < 0 ||
-                  uread_file(env, "/proc/memstat", &mem) < 0 ||
-                  uread_file(env, "/proc/metrics", &metrics) < 0) {
-                return 1;
+              std::string out;
+              for (const char* path : {"/proc/blkstat", "/proc/memstat", "/proc/schedstat",
+                                       "/proc/netstat", "/proc/metrics"}) {
+                std::vector<std::uint8_t> raw;
+                if (uread_file(env, path, &raw) < 0) {
+                  return 1;
+                }
+                out += std::string(raw.begin(), raw.end()) + "--\n";
               }
-              uputs(env, std::string(blk.begin(), blk.end()) + "--\n" +
-                             std::string(mem.begin(), mem.end()) + "--\n" +
-                             std::string(metrics.begin(), metrics.end()));
+              uputs(env, out);
               return 0;
             }),
             0);
   const std::string out = sys.SerialOutput().substr(before);
-  const std::size_t sep1 = out.find("--\n");
-  ASSERT_NE(sep1, std::string::npos) << out;
-  const std::size_t sep2 = out.find("--\n", sep1 + 3);
-  ASSERT_NE(sep2, std::string::npos) << out;
-  const std::string blk = out.substr(0, sep1);
-  const std::string mem = out.substr(sep1 + 3, sep2 - sep1 - 3);
-  // Keeps the separator's newline, so every metrics line is "\n"-led.
-  const std::string metrics = out.substr(sep2 + 2);
-  std::istringstream blk_lines(blk);
-  std::string line;
-  int n = 0;
-  while (std::getline(blk_lines, line)) {
-    EXPECT_NE(metrics.find("\nblock." + line + "\n"), std::string::npos) << line;
-    ++n;
+  std::vector<std::string> files;
+  for (std::size_t pos = 0, sep; (sep = out.find("--\n", pos)) != std::string::npos;
+       pos = sep + 3) {
+    files.push_back(out.substr(pos, sep - pos));
   }
-  EXPECT_GE(n, 13) << blk;  // at least the ramdisk's 13 per-device counters
+  ASSERT_EQ(files.size(), 5u) << out;
+  const std::string& blk = files[0];
+  const std::string& mem = files[1];
+  const std::string& sched = files[2];
+  const std::string& net = files[3];
+  // Every metrics line is "\n"-led.
+  const std::string metrics = "\n" + files[4];
+  // Counts the lines of `text`, each of which must appear in /proc/metrics
+  // under `prefix`. netstat's address line and TCB rows are its own, not
+  // registry lines.
+  auto coherent_lines = [&](const std::string& text, const std::string& prefix) {
+    std::istringstream lines(text);
+    std::string line;
+    int n = 0;
+    while (std::getline(lines, line)) {
+      if (line.rfind("ip ", 0) == 0 || line.rfind("tcb ", 0) == 0) {
+        continue;
+      }
+      EXPECT_NE(metrics.find("\n" + prefix + line + "\n"), std::string::npos)
+          << prefix << line;
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_GE(coherent_lines(blk, "block."), 13) << blk;  // the ramdisk's 13 per-device counters
   EXPECT_NE(blk.find("ramdisk.reads "), std::string::npos) << blk;
+  // 5 gauges plus idle_pct per core, and the runq_wait/slice_len summaries.
+  EXPECT_GE(coherent_lines(sched, "sched."), static_cast<int>(6 * sys.options().cores)) << sched;
+  // The net.* slice: 19 stack counters, 9 NIC gauges, sockets and tcbs.
+  EXPECT_EQ(net.rfind("ip ", 0), 0u) << net;
+  EXPECT_GE(coherent_lines(net, "net."), 30) << net;
   std::istringstream mem_lines(mem);
+  std::string line;
   int pmm_lines = 0;
   int slab_lines = 0;
   while (std::getline(mem_lines, line)) {

@@ -1,6 +1,6 @@
 // Profiler & watchdog tests: span-hook sampling math (unit level), the
 // /proc/profile control plane and folded dump, off-CPU attribution via the
-// sched sleep/wake hooks, per-task accounting in /proc/schedstat, unwinder
+// sched sleep/wake hooks, per-task accounting in /proc/tasks, unwinder
 // edge cases (mid-syscall, freshly-forked, idle), agreement between the two
 // sample sinks (kProfSample trace events and the folded table), raw
 // histogram bucket export, the prof2flame.py converter, and the hung-task watchdog's
@@ -16,15 +16,14 @@
 
 #include "src/apps/app_registry.h"
 #include "src/base/status.h"
-#include "src/fs/procfs.h"
 #include "src/kernel/metrics.h"
 #include "src/kernel/profiler.h"
 #include "src/kernel/trace.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/ustdio.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -98,22 +97,6 @@ TEST(ProfilerUnitTest, ResetClearsSamplesAndFolds) {
 }
 
 // --- Boot-level helpers ------------------------------------------------------
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
-
-std::string RunAndCapture(System& sys, const std::string& prog,
-                          const std::vector<std::string>& args) {
-  const std::size_t before = sys.SerialOutput().size();
-  EXPECT_EQ(sys.RunProgram(prog, args), 0) << prog;
-  return sys.SerialOutput().substr(before);
-}
 
 // One folded /proc/profile line, "mode;task;frame;...;frame weight", split.
 struct FoldedLine {
@@ -237,13 +220,13 @@ TEST(ProfilerBootTest, OffCpuSamplesBlameTheSleepingStack) {
   EXPECT_NE(dump.find("sleep"), std::string::npos) << dump;
 }
 
-// --- Per-task accounting in /proc/schedstat ---------------------------------
+// --- Per-task accounting in /proc/tasks -------------------------------------
 
 TEST(ProfilerBootTest, SchedstatCarriesPerTaskAccounting) {
   System sys(OptionsForStage(Stage::kProto5));
-  // The workload reads its own schedstat line while still alive: burn enough
-  // user time and kernel time (syscall storm) that the millisecond-granular
-  // fields all move, then dump /proc/schedstat to serial.
+  // The workload reads its own /proc/tasks row while still alive: burn
+  // enough user time and kernel time (syscall storm) that the
+  // millisecond-granular fields all move, then dump /proc/tasks to serial.
   const std::size_t before = sys.SerialOutput().size();
   EXPECT_EQ(RunInOs(sys, "acct_mix", [](AppEnv& env) -> int {
               for (int i = 0; i < 5; ++i) {
@@ -254,7 +237,7 @@ TEST(ProfilerBootTest, SchedstatCarriesPerTaskAccounting) {
                 ugetpid(env);  // kernel time, one syscall at a time
               }
               std::vector<std::uint8_t> raw;
-              if (uread_file(env, "/proc/schedstat", &raw) < 0) {
+              if (uread_file(env, "/proc/tasks", &raw) < 0) {
                 return 1;
               }
               uputs(env, std::string(raw.begin(), raw.end()));
@@ -262,11 +245,11 @@ TEST(ProfilerBootTest, SchedstatCarriesPerTaskAccounting) {
             }),
             0);
   const std::string out = sys.SerialOutput().substr(before);
-  std::vector<ProcTaskLine> tasks;
-  ASSERT_TRUE(ParseSchedTasks(out, &tasks)) << out;
+  std::vector<TaskRow> tasks;
+  ASSERT_TRUE(ParseTaskRows(out, &tasks)) << out;
   // The workload's own row shows every accounting dimension moving.
   bool found = false;
-  for (const ProcTaskLine& t : tasks) {
+  for (const TaskRow& t : tasks) {
     if (t.name.rfind("acct_mix", 0) != 0) {
       continue;
     }

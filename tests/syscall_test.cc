@@ -9,20 +9,10 @@
 #include "src/kernel/velf.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
-
-// Registers a one-off test program and runs it to completion.
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  // The ramdisk was built before this registration; inject a kernel blob.
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 class Proto5Test : public ::testing::Test {
  protected:

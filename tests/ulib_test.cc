@@ -5,7 +5,6 @@
 #include <map>
 
 #include "src/base/random.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/console.h"
 #include "src/ulib/font8x8.h"
 #include "src/ulib/minisdl.h"
@@ -15,16 +14,14 @@
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
 
+// The heap tests want a 16 MiB arena.
 int RunApp(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 900;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 16 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 16 << 20));
-  return static_cast<int>(sys.WaitProgram(sys.kernel().StartUserProgram(unique, {unique})));
+  return RunInOs(sys, name, std::move(main_fn), 16 << 20);
 }
 
 TEST(UMalloc, RandomOpsAgainstHostModel) {

@@ -8,6 +8,7 @@
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
 #include "src/wm/wm.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -53,16 +54,8 @@ class WmFixture : public ::testing::Test {
   System sys_;
 };
 
-int RunWmProgram(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 500;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  return static_cast<int>(sys.WaitProgram(sys.kernel().StartUserProgram(unique, {unique})));
-}
-
 TEST_F(WmFixture, SurfaceCompositesToScreen) {
-  int rc = RunWmProgram(sys_, "wmapp", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "wmapp", [](AppEnv& env) -> int {
     MiniSdl sdl(env);
     if (!sdl.InitVideo(64, 64, MiniSdl::VideoMode::kSurface, "t", 255, 100, 100)) {
       return 1;
@@ -102,7 +95,7 @@ TEST_F(WmFixture, DirtyRectCompositionMatchesFullRepaint) {
 }
 
 TEST_F(WmFixture, AlphaBlendingForFloatingWindows) {
-  int rc = RunWmProgram(sys_, "alpha", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "alpha", [](AppEnv& env) -> int {
     // Opaque bottom window, translucent top window overlapping it.
     MiniSdl bottom(env);
     if (!bottom.InitVideo(100, 100, MiniSdl::VideoMode::kSurface, "bot", 255, 50, 50)) {
@@ -115,7 +108,7 @@ TEST_F(WmFixture, AlphaBlendingForFloatingWindows) {
   });
   EXPECT_EQ(rc, 0);
   // Kernel-side surface for the translucent overlay (sysmon-style).
-  int rc2 = RunWmProgram(sys_, "alpha2", [](AppEnv& env) -> int {
+  int rc2 = RunInOs(sys_, "alpha2", [](AppEnv& env) -> int {
     MiniSdl top(env);
     if (!top.InitVideo(100, 100, MiniSdl::VideoMode::kSurface, "top", 128, 50, 50)) {
       return 1;
